@@ -3,8 +3,9 @@
 Determinism contract, relied on by every golden test downstream:
 
 * pair selection is by minimal lcm total degree, ties broken by the
-  lexicographic (i, j) of the generator indices;
-* both classical pruning criteria run (coprime leads, chain);
+  lexicographic (i, j) of the generator indices, popped from a heap;
+* both classical pruning criteria run (coprime leads, chain); the chain
+  criterion looks for k only among the popped partners of both i and j;
 * normal forms try divisors in the stored order of the reducer list;
 * the returned basis is the reduced one (monic, tails reduced, minimal
   leading monomials) sorted by leading monomial, largest first, which is
@@ -105,30 +106,21 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
 def _buchberger(ring: PolyRing, gens):
     basis = [g.monic() for g in gens]
     lms = [g.terms[0][1] for g in basis]
-    pairs = {}
-    done = set()
+    # done[i] holds every k whose pair with i has been popped.
+    done = [set() for _ in basis]
+    pairs = []
     for j in range(len(basis)):
         for i in range(j):
             lcm = mono_lcm(lms[i], lms[j])
-            pairs[(i, j)] = (mono_degree(lcm), lcm)
+            pairs.append((mono_degree(lcm), i, j, lcm))
+    heapq.heapify(pairs)
     while pairs:
-        i, j = min(pairs, key=lambda ij: (pairs[ij][0],) + ij)
-        _, lcm = pairs.pop((i, j))
-        done.add((i, j))
+        _, i, j, lcm = heapq.heappop(pairs)
+        done[i].add(j)
+        done[j].add(i)
         if mono_coprime(lms[i], lms[j]):
             continue
-        chained = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            if (
-                mono_divides(lms[k], lcm)
-                and (min(i, k), max(i, k)) in done
-                and (min(j, k), max(j, k)) in done
-            ):
-                chained = True
-                break
-        if chained:
+        if any(mono_divides(lms[k], lcm) for k in done[i] & done[j]):
             continue
         r = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if r.is_zero:
@@ -136,10 +128,11 @@ def _buchberger(ring: PolyRing, gens):
         r = r.monic()
         basis.append(r)
         lms.append(r.terms[0][1])
+        done.append(set())
         t = len(basis) - 1
         for k in range(t):
             lcm = mono_lcm(lms[k], lms[t])
-            pairs[(k, t)] = (mono_degree(lcm), lcm)
+            heapq.heappush(pairs, (mono_degree(lcm), k, t, lcm))
     return basis
 
 

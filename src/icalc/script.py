@@ -47,6 +47,9 @@ from .closure import (
 
 CHECK_KINDS = ("equal", "member", "sop", "regular")
 REPORT_KINDS = ("closedness", "contain", "structural", "capture", "netest", "frobenius")
+# Parsing, printing and evaluation recurse on every level of an
+# expression tree; deeper trees would exhaust the interpreter's stack.
+MAX_NESTING = 100
 
 
 # ---------------------------------------------------------------- AST
@@ -150,11 +153,18 @@ def _scan(text: str, line_no: int):
         raise ScriptError(f"line {line_no}: {exc}") from exc
 
 
+def _too_deep(line):
+    return ScriptError(
+        f"line {line}: expression nested deeper than {MAX_NESTING} levels"
+    )
+
+
 class _LineParser:
     def __init__(self, toks, line_no):
         self.toks = toks
         self.pos = 0
         self.line = line_no
+        self.depth = 0
 
     def error(self, expected):
         found = (
@@ -214,10 +224,14 @@ class _LineParser:
         return _toks_text(self.toks[start:self.pos])
 
     def parse_expr(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise _too_deep(self.line)
         node = self.parse_prod()
         while self.peek() == ("op", "+"):
             self.pos += 1
             node = ESum(node, self.parse_prod())
+        self.depth -= 1
         return node
 
     def parse_prod(self):
@@ -353,15 +367,19 @@ def _check_fresh(name, seen, line):
     seen.add(name)
 
 
-def _check_bound(expr, seen, line):
+def _check_bound(expr, seen, line, depth=1):
+    """Rejects unbound names, and trees deeper than MAX_NESTING, which
+    long '+' or '*' chains build without nesting parentheses."""
+    if depth > MAX_NESTING:
+        raise _too_deep(line)
     if isinstance(expr, EName):
         if expr.name not in seen:
             raise ScriptError(f"line {line}: unknown identifier {expr.name!r}")
     elif isinstance(expr, (ESum, EProd, EMeet, EColon)):
-        _check_bound(expr.left, seen, line)
-        _check_bound(expr.right, seen, line)
+        _check_bound(expr.left, seen, line, depth + 1)
+        _check_bound(expr.right, seen, line, depth + 1)
     elif isinstance(expr, (EBracket, EDc)):
-        _check_bound(expr.arg, seen, line)
+        _check_bound(expr.arg, seen, line, depth + 1)
 
 
 def _parse_ring(lp, seen):

@@ -52,6 +52,21 @@ def test_run_parse_error(tmp_path, capsys):
     assert "expected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "meet(" * 400 + "ideal(X)" + ", ideal(Y))" * 400,
+        " + ".join(["ideal(X)"] * 400),
+    ],
+    ids=["nested-meet", "long-sum"],
+)
+def test_run_deep_expression_is_a_parse_error(tmp_path, capsys, expr):
+    path = write(tmp_path, f"ring R = poly(p=2; X, Y)\nlet I = {expr}\n")
+    assert main(["run", path]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "line 2: expression nested deeper than 100 levels" in err
+
+
 def test_run_evaluation_error(tmp_path, capsys):
     path = write(tmp_path, "ring R = poly(p=2; X, Y)\nreport netest()\n")
     assert main(["run", path]) == EXIT_EVALUATION

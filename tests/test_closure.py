@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from conftest import ii
+from conftest import ii, surface_avatar
 
 from icalc import (
     Ideal,
@@ -308,6 +308,22 @@ def test_frobenius_checks_recompute(axes):
     for e, held in cert.checks:
         target = I.bracket_power(e) + axes.J.bracket_power(e) + axes.J
         assert target.contains(c * frobenius_power(x, e)) == held
+
+
+def test_frobenius_surface_p3_e4():
+    # q = 81: the target's reduced basis has 166 elements
+    avatar = surface_avatar(3)
+    ring = avatar.ring
+    cert = bounded_frobenius_check(
+        avatar.qring,
+        ii(ring, "Z", "X - T"),
+        ring.parse("X*Y"),
+        ring.parse("T"),
+        4,
+        4,
+    )
+    assert cert.checks == ((4, True),)
+    assert cert.verdict == SUPPORTED
 
 
 def test_frobenius_rejects_zero_multiplier(axes):

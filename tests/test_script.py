@@ -19,6 +19,7 @@ from icalc.script import (
     EMeet,
     EName,
     ESum,
+    MAX_NESTING,
     LetStmt,
     RingDecl,
 )
@@ -129,6 +130,20 @@ def test_unknown_identifier_is_rejected_at_parse_time():
 def test_unknown_statement_head():
     with pytest.raises(ScriptError, match="expected 'ring', 'let', 'check' or 'report'"):
         parse_script("compute ideal(X)")
+
+
+@pytest.mark.parametrize(
+    "nest",
+    [
+        lambda n: "meet(" * (n - 1) + "ideal(X)" + ", ideal(Y))" * (n - 1),
+        lambda n: " * ".join(["ideal(X)"] * n),
+    ],
+    ids=["meet", "product-chain"],
+)
+def test_nesting_limit_is_exact(nest):
+    parse_script(RING_LINE + "\nlet I = " + nest(MAX_NESTING))
+    with pytest.raises(ScriptError, match="line 2: expression nested deeper"):
+        parse_script(RING_LINE + "\nlet I = " + nest(MAX_NESTING + 1))
 
 
 def test_bad_dc_mode_is_rejected():
