@@ -491,18 +491,17 @@ def bounded_frobenius_check(
 ) -> FrobeniusCertificate:
     """Test c*x^q against the quotient bracket powers for q = p^e in a range.
 
-    The quotient bracket power expands to I^[q] + J^[q] + J in the
-    ambient ring (J^[q] is redundant beside J but kept for provenance).
+    The quotient bracket power is I^[q] + J in the ambient ring; see
+    QuotientRing.bracket_power.
     """
     _validate_subject(ring, ideal)
     if c.is_zero:
         raise InvalidMultiplierError("the multiplier c must be nonzero")
     if not 0 <= e_min <= e_max:
         raise PreconditionError("need 0 <= e_min <= e_max")
-    defining = ring.defining
     checks = []
     for e in range(e_min, e_max + 1):
-        target = ideal.bracket_power(e) + defining.bracket_power(e) + defining
+        target = ring.bracket_power(ideal, e)
         value = c * frobenius_power(x, e)
         checks.append((e, target.contains(value)))
     verdict = SUPPORTED if all(held for _, held in checks) else REFUTED

@@ -6,7 +6,9 @@ Determinism contract, relied on by every golden test downstream:
   lexicographic (i, j) of the generator indices, popped from a heap;
 * both classical pruning criteria run (coprime leads, chain); the chain
   criterion looks for k only among the popped partners of both i and j;
-* normal forms try divisors in the stored order of the reducer list;
+* normal forms try divisors in the stored order of the reducer list,
+  on the largest remaining term first: a plain heapq of (key(m), m),
+  since the order key sorts the leading monomial first;
 * the returned basis is the reduced one (monic, tails reduced, minimal
   leading monomials) sorted by leading monomial, largest first, which is
   canonical for the pair (ideal, order).
@@ -33,39 +35,28 @@ from .poly import Poly, PolyRing, transport
 _GB_CACHE = {}
 
 
-class _Rev:
-    """Reverses the sort of a wrapped key, for max-heaps on heapq."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other):
-        return other.key < self.key
-
-    def __eq__(self, other):
-        return other.key == self.key
-
-
 def normal_form(f: Poly, reducers) -> Poly:
     """Full remainder of f modulo the reducer list.
 
     Every term of the result is irreducible; divisors are tried in list
     order, which pins the outcome for non-basis reducer lists too.
     """
-    reducers = [g for g in reducers if not g.is_zero]
-    if f.is_zero or not reducers:
+    if not f.terms:
         return f
     ring = f.ring
     p = ring.field.p
+    inv = ring.field.inv
     key = ring.order.key
+    # Bases are monic, so most leads need no inverse.
     table = [
-        (g.terms[0][1], ring.field.inv(g.terms[0][0]), g.terms)
+        (g.terms[0][1], lc if (lc := g.terms[0][0]) == 1 else inv(lc), g.terms)
         for g in reducers
+        if g.terms
     ]
+    if not table:
+        return f
     work = {m: c for c, m in f.terms}
-    heap = [(_Rev(key(m)), m) for m in work]
+    heap = [(key(m), m) for m in work]
     heapq.heapify(heap)
     remainder = {}
     while heap:
@@ -82,7 +73,7 @@ def normal_form(f: Poly, reducers) -> Poly:
                     v = (work.get(mm, 0) - factor * cg) % p
                     if v:
                         if mm not in work:
-                            heapq.heappush(heap, (_Rev(key(mm)), mm))
+                            heapq.heappush(heap, (key(mm), mm))
                         work[mm] = v
                     else:
                         work.pop(mm, None)
@@ -140,7 +131,7 @@ def _reduce_basis(ring: PolyRing, basis):
     if not basis:
         return ()
     key = ring.order.key
-    ordered = sorted(basis, key=lambda g: key(g.terms[0][1]))
+    ordered = sorted(basis, key=lambda g: key(g.terms[0][1]), reverse=True)
     minimal = []
     for g in ordered:
         lm = g.terms[0][1]
@@ -153,7 +144,7 @@ def _reduce_basis(ring: PolyRing, basis):
         # lm(g) is not divisible by any other leading monomial, so it
         # survives the reduction and r cannot vanish.
         reduced.append(r.monic())
-    reduced.sort(key=lambda g: key(g.terms[0][1]), reverse=True)
+    reduced.sort(key=lambda g: key(g.terms[0][1]))
     return tuple(reduced)
 
 
@@ -197,7 +188,7 @@ def exact_divide(h: Poly, f: Poly) -> Poly:
     work = {m: c for c, m in h.terms}
     quotient = {}
     while work:
-        m = max(work, key=key)
+        m = min(work, key=key)
         c = work[m]
         if not mono_divides(lm_f, m):
             raise ValueError(f"{f} does not divide {h}")

@@ -30,13 +30,6 @@ def _aux_name(ring: PolyRing) -> str:
     return f"_t{i}"
 
 
-def _extended_ring(ring: PolyRing):
-    """The same ring with one fresh variable appended; returns (ring, name)."""
-    name = _aux_name(ring)
-    ext = PolyRing(ring.field, ring.variables + (name,), ring.order)
-    return ext, name
-
-
 class Ideal:
     """A finitely generated ideal of a named polynomial ring."""
 
@@ -121,18 +114,27 @@ class Ideal:
         )
 
     def intersect(self, other: "Ideal") -> "Ideal":
-        """Intersection via the t / (1 - t) trick in one extra variable."""
+        """Intersection via the t / (1 - t) trick in one extra variable.
+
+        t*g for g in self and (1 - t)*g for g in other are built directly
+        in the ring (t, variables...) under block_elimination(1); the
+        basis members free of t generate the meet and are carried back.
+        """
         self._check_ring(other)
         if not self.generators or not other.generators:
             return Ideal(self.ring, ())
-        ext, name = _extended_ring(self.ring)
-        t = ext.var(name)
-        one_minus_t = ext.one() - t
-        mixed = [transport(g, ext) * t for g in self.generators]
-        mixed += [transport(g, ext) * one_minus_t for g in other.generators]
-        kept = eliminate_polys(ext, mixed, [name])
-        back = list(range(self.ring.nvars)) + [None]
-        return Ideal(self.ring, tuple(transport(g, self.ring, back) for g in kept))
+        ring = self.ring
+        order = MonomialOrder.block_elimination(1)
+        aux = PolyRing(ring.field, (_aux_name(ring),) + ring.variables, order)
+        t, one_minus_t = ((1, 1),), ((0, 1), (1, -1))  # (t exponent, sign)
+        mixed = [
+            Poly.from_dict(aux, {(e,) + m: s * c for c, m in g.terms for e, s in factor})
+            for factor, gens in ((t, self.generators), (one_minus_t, other.generators))
+            for g in gens
+        ]
+        kept = [g for g in groebner_basis(aux, mixed) if not any(m[0] for _, m in g.terms)]
+        back = [None] + list(range(ring.nvars))
+        return Ideal(ring, tuple(transport(g, ring, back) for g in kept))
 
     def colon(self, divisor) -> "Ideal":
         """The transporter {g : g * divisor inside self}.
@@ -183,7 +185,8 @@ class Ideal:
             raise RingMismatchError(f"{f} is not in {self.ring}")
         if f.is_zero:
             return True
-        ext, name = _extended_ring(self.ring)
+        name = _aux_name(self.ring)
+        ext = PolyRing(self.ring.field, self.ring.variables + (name,), self.ring.order)
         t = ext.var(name)
         gens = [transport(g, ext) for g in self.generators]
         gens.append(ext.one() - t * transport(f, ext))

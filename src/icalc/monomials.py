@@ -1,14 +1,18 @@
 """Monomials as exponent tuples and the supported term orders.
 
 A monomial in n variables is a plain tuple of n non-negative ints; the
-ring layer owns the variable names.  Orders are value objects producing a
-sort key: key(a) < key(b) exactly when a precedes b in the order, so
-``max`` and descending sorts pick out leading monomials directly.
+ring layer owns the variable names.  The kernels map C builtins over
+both tuples, so no Python frame runs per exponent.  Orders are value
+objects whose key sorts the leading monomial first: key(a) < key(b)
+exactly when a is larger than b, so ascending sorts, ``min`` and a plain
+``heapq`` pick out leading monomials directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import add, le, mul, neg, sub
 
 from .errors import DimensionMismatchError
 
@@ -20,47 +24,47 @@ BLOCK = "block"
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_sub(a, b):
     """Exponent-wise difference; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_divides(a, b):
     """True when x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_gcd(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 def mono_degree(a):
     return sum(a)
 
 
-def mono_is_one(a):
-    return not any(a)
-
-
 def mono_coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    return not any(map(mul, a, b))
 
 
 def mono_support(a):
     return frozenset(i for i, e in enumerate(a) if e)
 
 
-def _grevlex_key(m):
-    # Degree first; ties broken by the reversed, negated exponent vector,
-    # which makes the rightmost difference decide (smaller there = larger).
-    return (sum(m), tuple(-e for e in reversed(m)))
+def _grevlex_lead(m):
+    # Higher degree first; ties go to the smaller rightmost differing
+    # exponent, which the reversed tuple compares first.
+    return (-sum(m), m[::-1])
+
+
+def _lex_lead(m):
+    return tuple(map(neg, m))
 
 
 @dataclass(frozen=True)
@@ -93,13 +97,21 @@ class MonomialOrder:
     def block_elimination(cls, front: int) -> "MonomialOrder":
         return cls(BLOCK, front)
 
-    def key(self, m):
+    @cached_property
+    def key(self):
+        """The lead-first key function, chosen once per order; block keys
+        are flat: (-deg f, f reversed, -deg r, r reversed) for front f."""
         if self.kind == GREVLEX:
-            return _grevlex_key(m)
+            return _grevlex_lead
         if self.kind == LEX:
-            return m
+            return _lex_lead
         k = self.front
-        return (_grevlex_key(m[:k]), _grevlex_key(m[k:]))
+
+        def block_lead(m):
+            f, r = m[:k], m[k:]
+            return (-sum(f), f[::-1], -sum(r), r[::-1])
+
+        return block_lead
 
     def __str__(self):
         if self.kind == BLOCK:
@@ -114,8 +126,4 @@ def mono_compare(order: MonomialOrder, a, b) -> int:
             f"monomial lengths differ: {len(a)} vs {len(b)}"
         )
     ka, kb = order.key(a), order.key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
+    return (ka < kb) - (ka > kb)  # the lead-first key sorts the larger first

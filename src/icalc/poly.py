@@ -116,10 +116,8 @@ class Poly:
     def from_dict(ring: PolyRing, coeffs: dict) -> "Poly":
         """Build from {monomial: coefficient}, dropping zeros and sorting."""
         p = ring.field.p
-        key = ring.order.key
-        items = [(c % p, m) for m, c in coeffs.items() if c % p]
-        items.sort(key=lambda t: key(t[1]), reverse=True)
-        return Poly(ring, tuple(items))
+        ms = sorted(coeffs, key=ring.order.key)
+        return Poly(ring, tuple((c, m) for m in ms if (c := coeffs[m] % p)))
 
     # -- structure ---------------------------------------------------------
 
@@ -249,8 +247,7 @@ class Poly:
         while k:
             if k & 1:
                 result = result * base
-            base_needed = k > 1
-            if base_needed:
+            if k > 1:
                 base = base * base
             k >>= 1
         return result

@@ -95,6 +95,10 @@ class QuotientRing:
         """Ambient ideal I + J, the representative of I's image in R."""
         return I + self.defining
 
+    def bracket_power(self, I: Ideal, e: int) -> Ideal:
+        """Ambient I^[q] + J (q = p^e) for (IR)^[q]; J^[q] lies inside J."""
+        return self.augment(I.bracket_power(e))
+
     def require_primes(self):
         if self.primes is None:
             raise NeedsPrimesError(

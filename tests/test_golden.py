@@ -1,0 +1,26 @@
+"""Byte-for-byte pins of the four built-in scenario reports.
+
+The files under golden/ hold the reference output of
+`icalc repro <name> --json`; a change to the engine that keeps every
+answer must print the same bytes.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from icalc.cli import main
+from icalc.scenarios import SCENARIOS
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_every_scenario_has_a_golden_report():
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(SCENARIOS)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_repro_json_is_byte_identical_to_golden(name, capsys):
+    assert main(["repro", name, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.json").read_bytes()

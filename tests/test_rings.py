@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import ii
+from conftest import ii, surface_avatar
 
 from icalc import (
     Ideal,
@@ -144,3 +144,15 @@ def test_cm_probe_accepts_explicit_sop(axes):
     probe = cm_probe(axes.qring, sop=(axes.ring.parse("Y"), axes.ring.parse("X - Z")))
     assert probe.verdict == NOT_CM
     assert probe.failing_step == 0
+
+
+@pytest.mark.parametrize("which", ["axes", 2, 3])
+def test_bracket_power_drops_the_redundant_lift_of_j(which, axes):
+    # (IR)^[q] lifts to I^[q] + J; adding J^[q], which lies inside J,
+    # gives the same ideal and so the same reduced basis.
+    avatar = axes if which == "axes" else surface_avatar(which)
+    J = avatar.J
+    I = ii(avatar.ring, "Z", "X - Y")
+    for e in range(3):
+        full = I.bracket_power(e) + J.bracket_power(e) + J
+        assert avatar.qring.bracket_power(I, e).groebner == full.groebner

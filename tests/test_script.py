@@ -265,3 +265,15 @@ def test_every_scenario_passes_its_checks():
         doc = run_scenario(name)
         assert doc.all_checks_pass, name
         assert doc.scenario == name
+
+
+def test_bracket_inside_the_ring_declaration():
+    src = "\n".join((
+        "ring R = poly(p=2; X, Y, Z) / bracket(ideal(X*Y, X*Z), 1) "
+        "with primes [ideal(X), bracket(ideal(Y, Z), 0)]",
+        "check member(X^2*Y^2, ideal(0))",
+        "check member(X*Y, ideal(0))",
+        "check equal(bracket(ideal(Y), 1), ideal(Y^2))",
+    ))
+    doc = run_script(parse_script(src))
+    assert [passed for _, passed, _ in doc.checks] == [True, False, True]
