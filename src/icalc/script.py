@@ -782,9 +782,7 @@ class Evaluator:
             return self._derived(a.handle.colon(b.handle))
         if isinstance(expr, EBracket):
             a = self._eval(expr.arg)
-            # Inside the ring declaration, lift over the defining ideal so far.
-            qring = self.qring or make_ring(self.ring, self.defining)
-            return self._derived(qring.bracket_power(self._plain(a), expr.e))
+            return self._derived(self._plain(a).bracket_power(expr.e) + self.defining)
         if isinstance(expr, EDc):
             a = self._eval(expr.arg)
             return self._derived(

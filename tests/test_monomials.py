@@ -11,6 +11,7 @@ from icalc.monomials import (
     mono_degree,
     mono_divides,
     mono_gcd,
+    mono_is_one,
     mono_lcm,
     mono_mul,
     mono_sub,
@@ -28,6 +29,8 @@ def test_exponent_arithmetic():
     assert mono_support(a) == frozenset({0, 2})
     assert not mono_coprime(a, b)
     assert mono_coprime((2, 0, 0), (0, 1, 1))
+    assert mono_is_one((0, 0, 0))
+    assert not mono_is_one(a)
 
 
 def test_divides():
