@@ -564,9 +564,7 @@ def construct_ne_test_data(ring: QuotientRing, multipliers=None, cap: int = 10) 
                 f"component {i}; the decomposition is redundant"
             )
         ds.append(d)
-    full = primes[0]
-    for prime in primes[1:]:
-        full = full.intersect(prime)
+    full = ring.radical
     e_prime = None
     for e in range(cap + 1):
         if all(ring.defining.contains(frobenius_power(n, e)) for n in full.groebner):

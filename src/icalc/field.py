@@ -56,30 +56,12 @@ class PrimeField:
     def normalize(self, a: int) -> int:
         return a % self.p
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in F_%d" % self.p)
         # Fermat: a^(p-2) is the inverse for prime p.
         return pow(a, self.p - 2, self.p)
-
-    def pow(self, a: int, k: int) -> int:
-        a %= self.p
-        if k < 0:
-            return pow(self.inv(a), -k, self.p)
-        return pow(a, k, self.p)
 
     def __str__(self):
         return f"F_{self.p}"

@@ -35,13 +35,15 @@ NO_SOP_FOUND = "noSopFound"
 
 
 class QuotientRing:
-    """S/J with optional asserted minimal primes and cached dimensions."""
+    """S/J with optional asserted minimal primes, their meet (the radical
+    of J) and cached dimensions."""
 
     __slots__ = (
         "ambient",
         "defining",
         "primes",
         "primes_asserted",
+        "radical",
         "prime_dims",
         "dim",
         "absolutely_minimal",
@@ -57,6 +59,7 @@ class QuotientRing:
         if primes is None:
             self.primes = None
             self.primes_asserted = None
+            self.radical = None
             self.prime_dims = None
             self.dim = defining.dimension()
             self.absolutely_minimal = None
@@ -86,6 +89,7 @@ class QuotientRing:
                     "modulo the defining ideal"
                 )
         self.primes = primes
+        self.radical = meet
         self.primes_asserted = tuple(bool(a) for a in asserted)
         self.prime_dims = tuple(P.dimension() for P in primes)
         self.dim = max(self.prime_dims)

@@ -26,12 +26,12 @@ import json
 from dataclasses import dataclass, field
 
 from . import __version__
-from .errors import IcalcError, ParseError, ScriptError
+from .errors import IcalcError, NeedsPrimesError, ParseError, ScriptError
 from .field import PrimeField
 from .groebner import normal_form
 from .ideals import Ideal, ring_map_kernel
 from .monomials import MonomialOrder
-from .poly import Poly, PolyRing, parse_poly_tokens, tokenize
+from .poly import PolyRing, parse_poly, tokenize
 from .rings import is_regular_sequence, is_system_of_parameters, make_ring
 from .closure import (
     NE,
@@ -45,8 +45,25 @@ from .closure import (
     theorem_contain_verdict,
 )
 
-CHECK_KINDS = ("equal", "member", "sop", "regular")
-REPORT_KINDS = ("closedness", "contain", "structural", "capture", "netest", "frobenius")
+# The argument slots of each check and report kind, in order: 'expr' an
+# ideal expression, 'poly' a polynomial text, 'mode' tight or ne, and a
+# trailing 'unmixed' an optional flag.
+CHECK_ARGS = {
+    "equal": ("expr", "expr"),
+    "member": ("poly", "expr"),
+    "sop": ("expr",),
+    "regular": ("expr",),
+}
+REPORT_ARGS = {
+    "closedness": ("expr", "mode"),
+    "contain": ("expr",),
+    "structural": ("expr", "expr", "unmixed"),
+    "capture": ("expr",),
+    "netest": (),
+    "frobenius": ("expr", "poly", "poly"),
+}
+CHECK_KINDS = tuple(CHECK_ARGS)
+REPORT_KINDS = tuple(REPORT_ARGS)
 # Parsing, printing and evaluation recurse on every level of an
 # expression tree; deeper trees would exhaust the interpreter's stack.
 MAX_NESTING = 100
@@ -166,23 +183,19 @@ class _LineParser:
         self.line = line_no
         self.depth = 0
 
+    def fail(self, message):
+        raise ScriptError(f"line {self.line}, token {self.pos + 1}: {message}")
+
     def error(self, expected):
         found = (
             repr(self.toks[self.pos][1])
             if self.pos < len(self.toks)
             else "end of line"
         )
-        raise ScriptError(
-            f"line {self.line}, token {self.pos + 1}: expected {expected}, found {found}"
-        )
+        self.fail(f"expected {expected}, found {found}")
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
 
     def expect_op(self, op):
         if self.peek() != ("op", op):
@@ -203,24 +216,48 @@ class _LineParser:
         self.pos += 1
         return value
 
+    def expect_fresh(self, seen, what, noun):
+        """A name not in seen; a repeat is an error at that name."""
+        name = self.expect_name(what)
+        if name in seen:
+            self.pos -= 1
+            self.fail(f"duplicate {noun} {name!r}")
+        seen.append(name)
+        return name
+
+    def expect_names(self, what, noun):
+        """A comma-separated list of distinct names."""
+        names = []
+        self.expect_fresh(names, what, noun)
+        while self.peek() == ("op", ","):
+            self.pos += 1
+            self.expect_fresh(names, what, noun)
+        return tuple(names)
+
     def expect_keyword(self, word):
         if self.peek() != ("name", word):
             self.error(f"'{word}'")
         self.pos += 1
+
+    def expect_mode(self):
+        mode = self.expect_name("'tight' or 'ne'")
+        if mode not in (TIGHT, NE):
+            self.error("'tight' or 'ne'")
+        return mode
 
     def at_end(self):
         return self.pos >= len(self.toks)
 
     # polynomial spans run to the next ',' or ')' since the poly
     # grammar itself has no parentheses
-    def poly_text(self):
+    def poly_text(self, what="a polynomial"):
         start = self.pos
         while self.pos < len(self.toks):
             if self.toks[self.pos][0] == "op" and self.toks[self.pos][1] in ",)":
                 break
             self.pos += 1
         if self.pos == start:
-            self.error("a polynomial")
+            self.error(what)
         return _toks_text(self.toks[start:self.pos])
 
     def parse_expr(self):
@@ -275,37 +312,25 @@ class _LineParser:
             self.expect_op("(")
             a = self.parse_expr()
             self.expect_op(",")
-            mode = self.expect_name("'tight' or 'ne'")
-            if mode not in (TIGHT, NE):
-                self.error("'tight' or 'ne'")
+            mode = self.expect_mode()
             self.expect_op(")")
             return EDc(a, mode)
         if value == "ker":
             self.pos += 1
             self.expect_op("(")
-            targets = [self.expect_name("a target variable")]
-            while self.peek() == ("op", ","):
-                self.pos += 1
-                targets.append(self.expect_name("a target variable"))
+            targets = self.expect_names("a target variable", "target variable")
             self.expect_op(";")
-            images = []
+            sources, images = [], []
             while True:
-                src = self.expect_name("a source variable")
+                src = self.expect_fresh(sources, "a source variable", "source variable")
                 self.expect_op("->")
-                start = self.pos
-                while self.pos < len(self.toks):
-                    if self.toks[self.pos][0] == "op" and self.toks[self.pos][1] in ",)":
-                        break
-                    self.pos += 1
-                if self.pos == start:
-                    self.error("an image polynomial")
-                images.append((src, _toks_text(self.toks[start:self.pos])))
+                images.append((src, self.poly_text("an image polynomial")))
                 if self.peek() == ("op", ","):
                     self.pos += 1
                     continue
                 break
             self.expect_op(")")
-            return EKer(tuple(targets), tuple(images))
+            return EKer(targets, tuple(images))
         self.pos += 1
         return EName(value)
 
@@ -349,10 +374,8 @@ def parse_script(source: str) -> Script:
             statements.append(_parse_ring(lp, seen_names))
         elif head == "let":
             statements.append(_parse_let(lp, seen_names))
-        elif head == "check":
-            statements.append(_parse_check(lp, seen_names))
-        elif head == "report":
-            statements.append(_parse_report(lp, seen_names))
+        elif head in ("check", "report"):
+            statements.append(_parse_call(lp, seen_names, head))
         else:
             lp.pos -= 1
             lp.error("'ring', 'let', 'check' or 'report'")
@@ -392,10 +415,7 @@ def _parse_ring(lp, seen):
     lp.expect_op("=")
     p = lp.expect_int()
     lp.expect_op(";")
-    variables = [lp.expect_name("a variable name")]
-    while lp.peek() == ("op", ","):
-        lp.pos += 1
-        variables.append(lp.expect_name("a variable name"))
+    variables = lp.expect_names("a variable name", "variable")
     lp.expect_op(")")
     defining = None
     primes = ()
@@ -415,7 +435,7 @@ def _parse_ring(lp, seen):
             for e in prime_list:
                 _check_bound(e, seen, lp.line)
             primes = tuple(prime_list)
-    return RingDecl(name, p, tuple(variables), defining, primes, lp.line)
+    return RingDecl(name, p, variables, defining, primes, lp.line)
 
 
 def _parse_let(lp, seen):
@@ -427,69 +447,38 @@ def _parse_let(lp, seen):
     return LetStmt(name, expr, lp.line)
 
 
-def _parse_check(lp, seen):
-    kind = lp.expect_name("a check kind")
-    if kind not in CHECK_KINDS:
+def _parse_call(lp, seen, head):
+    """A check or report statement, read by its kind's argument slots."""
+    table = CHECK_ARGS if head == "check" else REPORT_ARGS
+    kind = lp.expect_name(f"a {head} kind")
+    if kind not in table:
         lp.pos -= 1
-        lp.error("one of " + ", ".join(CHECK_KINDS))
+        lp.error("one of " + ", ".join(table))
     lp.expect_op("(")
-    if kind == "equal":
-        a = lp.parse_expr()
-        lp.expect_op(",")
-        b = lp.parse_expr()
-        args = (a, b)
-    elif kind == "member":
-        text = lp.poly_text()
-        lp.expect_op(",")
-        args = (("poly", text), lp.parse_expr())
-    else:
-        args = (lp.parse_expr(),)
-    lp.expect_op(")")
-    for arg in args:
-        if not isinstance(arg, tuple):
-            _check_bound(arg, seen, lp.line)
-    return CheckStmt(kind, args, lp.line)
-
-
-def _parse_report(lp, seen):
-    kind = lp.expect_name("a report kind")
-    if kind not in REPORT_KINDS:
-        lp.pos -= 1
-        lp.error("one of " + ", ".join(REPORT_KINDS))
-    lp.expect_op("(")
+    args = []
     flags = ()
-    if kind == "closedness":
-        a = lp.parse_expr()
-        lp.expect_op(",")
-        mode = lp.expect_name("'tight' or 'ne'")
-        if mode not in (TIGHT, NE):
-            lp.error("'tight' or 'ne'")
-        args = (a, mode)
-    elif kind in ("contain", "capture"):
-        args = (lp.parse_expr(),)
-    elif kind == "structural":
-        a = lp.parse_expr()
-        lp.expect_op(",")
-        b = lp.parse_expr()
-        args = (a, b)
-        if lp.peek() == ("op", ","):
-            lp.pos += 1
-            lp.expect_keyword("unmixed")
-            flags = ("unmixed",)
-    elif kind == "netest":
-        args = ()
-    else:  # frobenius
-        a = lp.parse_expr()
-        lp.expect_op(",")
-        x = lp.poly_text()
-        lp.expect_op(",")
-        c = lp.poly_text()
-        args = (a, ("poly", x), ("poly", c))
+    for i, slot in enumerate(table[kind]):
+        if slot == "unmixed":
+            if lp.peek() == ("op", ","):
+                lp.pos += 1
+                lp.expect_keyword("unmixed")
+                flags = ("unmixed",)
+            continue
+        if i:
+            lp.expect_op(",")
+        if slot == "expr":
+            args.append(lp.parse_expr())
+        elif slot == "poly":
+            args.append(("poly", lp.poly_text()))
+        else:
+            args.append(lp.expect_mode())
     lp.expect_op(")")
     for arg in args:
         if not isinstance(arg, (tuple, str)):
             _check_bound(arg, seen, lp.line)
-    return ReportStmt(kind, args, flags, lp.line)
+    if head == "check":
+        return CheckStmt(kind, tuple(args), lp.line)
+    return ReportStmt(kind, tuple(args), flags, lp.line)
 
 
 # ---------------------------------------------------------------- printing
@@ -533,23 +522,15 @@ def _stmt_text(stmt) -> str:
         return head
     if isinstance(stmt, LetStmt):
         return f"let {stmt.name} = {_expr_text(stmt.expr)}"
-    if isinstance(stmt, CheckStmt):
+    if isinstance(stmt, (CheckStmt, ReportStmt)):
+        head = "check" if isinstance(stmt, CheckStmt) else "report"
         parts = [
-            arg[1] if isinstance(arg, tuple) and arg[0] == "poly" else _expr_text(arg)
-            for arg in stmt.args
+            arg if isinstance(arg, str)
+            else arg[1] if isinstance(arg, tuple)
+            else _expr_text(arg)
+            for arg in stmt.args + getattr(stmt, "flags", ())
         ]
-        return "check %s(%s)" % (stmt.kind, ", ".join(parts))
-    if isinstance(stmt, ReportStmt):
-        parts = []
-        for arg in stmt.args:
-            if isinstance(arg, str):
-                parts.append(arg)
-            elif isinstance(arg, tuple) and arg[0] == "poly":
-                parts.append(arg[1])
-            else:
-                parts.append(_expr_text(arg))
-        parts.extend(stmt.flags)
-        return "report %s(%s)" % (stmt.kind, ", ".join(parts))
+        return "%s %s(%s)" % (head, stmt.kind, ", ".join(parts))
     raise TypeError(f"not a statement: {stmt!r}")
 
 
@@ -715,12 +696,12 @@ class Evaluator:
             self.bindings[stmt.name] = self._eval(stmt.expr)
         elif isinstance(stmt, CheckStmt):
             self._require_ring(stmt)
-            passed, detail = self._run_check(stmt)
+            passed, detail = self._run_check(stmt, self._args(stmt))
             self.checks.append((_stmt_text(stmt), passed, detail))
         else:
             self._require_ring(stmt)
-            kind, payload = self._run_report(stmt)
-            self.entries.append((_stmt_text(stmt), kind, payload))
+            payload = self._run_report(stmt, self._args(stmt))
+            self.entries.append((_stmt_text(stmt), stmt.kind, payload))
 
     def _require_ring(self, stmt):
         if self.ring is None:
@@ -742,12 +723,14 @@ class Evaluator:
             primes = tuple(self._eval(e).handle for e in stmt.primes)
         self.qring = make_ring(self.ring, self.defining, primes=primes)
 
-    def _parse_gen(self, text):
-        toks = tokenize(text)
-        poly, i = parse_poly_tokens(self.ring, toks, 0)
-        if i != len(toks):
-            raise ParseError(f"trailing tokens in polynomial {text!r}")
-        return poly
+    def _args(self, stmt):
+        """Each argument slot's value: a ScriptIdeal, a Poly or the mode."""
+        return [
+            arg if isinstance(arg, str)
+            else parse_poly(self.ring, arg[1]) if isinstance(arg, tuple)
+            else self._eval(arg)
+            for arg in stmt.args
+        ]
 
     def _plain(self, value: ScriptIdeal) -> Ideal:
         return Ideal(self.ring, value.raw)
@@ -758,7 +741,7 @@ class Evaluator:
     def _eval(self, expr) -> ScriptIdeal:
         if isinstance(expr, EIdeal):
             gens = tuple(
-                g for g in (self._parse_gen(t) for t in expr.gens) if not g.is_zero
+                g for g in (parse_poly(self.ring, t) for t in expr.gens) if not g.is_zero
             )
             return ScriptIdeal(
                 raw=gens, handle=Ideal(self.ring, gens) + self.defining
@@ -784,6 +767,8 @@ class Evaluator:
             a = self._eval(expr.arg)
             return self._derived(self._plain(a).bracket_power(expr.e) + self.defining)
         if isinstance(expr, EDc):
+            if self.qring is None:
+                raise NeedsPrimesError("dc(...) cannot appear in the ring declaration")
             a = self._eval(expr.arg)
             return self._derived(
                 decomposition_closure(self.qring, self._plain(a), expr.mode)
@@ -792,22 +777,16 @@ class Evaluator:
             target = PolyRing(
                 self.ring.field, expr.targets, MonomialOrder.grevlex()
             )
-            images = {}
-            for src, text in expr.images:
-                toks = tokenize(text)
-                poly, i = parse_poly_tokens(target, toks, 0)
-                if i != len(toks):
-                    raise ParseError(f"trailing tokens in image {text!r}")
-                images[src] = poly
+            images = {src: parse_poly(target, text) for src, text in expr.images}
             kernel = ring_map_kernel(self.ring, target, images)
             return ScriptIdeal(
                 raw=kernel.generators, handle=kernel + self.defining
             )
         raise TypeError(f"not an expression: {expr!r}")
 
-    def _run_check(self, stmt):
+    def _run_check(self, stmt, args):
         if stmt.kind == "equal":
-            a, b = (self._eval(e) for e in stmt.args)
+            a, b = args
             if a.handle == b.handle:
                 return True, None
             return False, "left = %s; right = %s" % (
@@ -815,61 +794,48 @@ class Evaluator:
                 _basis_text(b.handle),
             )
         if stmt.kind == "member":
-            poly = self._parse_gen(stmt.args[0][1])
-            handle = self._eval(stmt.args[1]).handle
-            if handle.contains(poly):
+            poly, value = args
+            if value.handle.contains(poly):
                 return True, None
-            return False, f"normal form {normal_form(poly, handle.groebner)}"
+            return False, f"normal form {normal_form(poly, value.handle.groebner)}"
         if stmt.kind == "sop":
-            value = self._eval(stmt.args[0])
-            result = is_system_of_parameters(self.qring, value.raw)
+            result = is_system_of_parameters(self.qring, args[0].raw)
             if result.is_sop:
                 return True, None
             return False, (
                 f"quotient dimension {result.quotient_dim}; "
                 f"count matches dimension: {result.count_matches_dim}"
             )
-        value = self._eval(stmt.args[0])
-        result = is_regular_sequence(self.qring, value.raw)
+        result = is_regular_sequence(self.qring, args[0].raw)
         if result.regular:
             return True, None
         if not result.proper:
             return False, "the sequence generates the unit ideal"
         return False, f"first zerodivisor at step {result.first_failure}"
 
-    def _run_report(self, stmt):
+    def _run_report(self, stmt, args):
         if stmt.kind == "closedness":
-            value = self._eval(stmt.args[0])
-            report = closedness_necessary_test(
-                self.qring, self._plain(value), stmt.args[1]
-            )
-            return "closedness", report
+            value, mode = args
+            return closedness_necessary_test(self.qring, self._plain(value), mode)
         if stmt.kind == "contain":
-            value = self._eval(stmt.args[0])
-            return "contain", theorem_contain_verdict(self.qring, self._plain(value))
+            return theorem_contain_verdict(self.qring, self._plain(args[0]))
         if stmt.kind == "structural":
-            p_value = self._eval(stmt.args[0])
-            i_value = self._eval(stmt.args[1])
-            report = structural_verdict(
+            p_value, i_value = args
+            return structural_verdict(
                 self.ring,
                 self._plain(p_value),
                 i_value.raw,
                 unmixed_asserted="unmixed" in stmt.flags,
                 seed=self.options.seed,
             )
-            return "structural", report
         if stmt.kind == "capture":
-            value = self._eval(stmt.args[0])
-            return "capture", colon_capture_report(self.qring, value.raw)
+            return colon_capture_report(self.qring, args[0].raw)
         if stmt.kind == "netest":
-            return "netest", construct_ne_test_data(self.qring)
-        value = self._eval(stmt.args[0])
-        x = self._parse_gen(stmt.args[1][1])
-        c = self._parse_gen(stmt.args[2][1])
-        report = bounded_frobenius_check(
+            return construct_ne_test_data(self.qring)
+        value, x, c = args
+        return bounded_frobenius_check(
             self.qring, self._plain(value), x, c, 0, self.options.emax
         )
-        return "frobenius", report
 
 
 def run_script(script: Script, options: RunOptions = RunOptions(), scenario: str = "script") -> ReportDocument:

@@ -73,6 +73,36 @@ def test_run_evaluation_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        (
+            "ring R = poly(p=2; X, Y, Z) / dc(ideal(X*Y, X*Z), tight)\n",
+            EXIT_EVALUATION,
+            "icalc: line 1: ring R = poly(p=2; X, Y, Z) / dc(ideal(X*Y, X*Z), tight): "
+            "dc(...) cannot appear in the ring declaration\n",
+        ),
+        (
+            "ring R = poly(p=2; X, X)\n",
+            EXIT_USAGE,
+            "icalc: line 1, token 12: duplicate variable 'X'\n",
+        ),
+        (
+            "ring R = poly(p=2; X, Y)\n"
+            "check equal(ker(U; X -> U, Y -> U^2, X -> U^3), ker(U; Y -> U^2, X -> U^3))\n",
+            EXIT_USAGE,
+            "icalc: line 2, token 18: duplicate source variable 'X'\n",
+        ),
+    ],
+    ids=["dc-in-ring", "repeated-variable", "ker-source-twice"],
+)
+def test_run_rejects_bad_declarations_without_a_traceback(tmp_path, capsys, text, code, message):
+    assert main(["run", write(tmp_path, text)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
+
+
 def test_run_json_to_stdout(tmp_path, capsys):
     assert main(["run", write(tmp_path, GOOD_SCRIPT), "--json"]) == EXIT_OK
     data = json.loads(capsys.readouterr().out)

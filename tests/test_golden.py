@@ -1,8 +1,9 @@
 """Byte-for-byte pins of the four built-in scenario reports.
 
 The files under golden/ hold the reference output of
-`icalc repro <name> --json`; a change to the engine that keeps every
-answer must print the same bytes.
+`icalc repro <name> --json` (*.json) and of `icalc repro <name>`
+(*.txt); a change to the engine or to the report renderers that keeps
+every answer must print the same bytes.
 """
 
 from pathlib import Path
@@ -24,3 +25,14 @@ def test_repro_json_is_byte_identical_to_golden(name, capsys):
     assert main(["repro", name, "--json"]) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_every_scenario_has_a_golden_text_report():
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(SCENARIOS)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_repro_text_is_byte_identical_to_golden(name, capsys):
+    assert main(["repro", name]) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes()

@@ -13,6 +13,7 @@ from icalc import (
     is_system_of_parameters,
     make_ring,
 )
+from icalc.closure import construct_ne_test_data
 from icalc.errors import EmptyRingError, NeedsPrimesError
 from icalc.rings import CM, NOT_CM
 
@@ -156,3 +157,15 @@ def test_bracket_power_drops_the_redundant_lift_of_j(which, axes):
     for e in range(3):
         full = I.bracket_power(e) + J.bracket_power(e) + J
         assert avatar.qring.bracket_power(I, e).groebner == full.groebner
+
+
+@pytest.mark.parametrize("which", ["axes", 2])
+def test_ring_keeps_the_meet_of_its_primes(which, axes, monkeypatch):
+    avatar = axes if which == "axes" else surface_avatar(which)
+    assert avatar.qring.radical == avatar.P.intersect(avatar.Q)
+    assert make_ring(avatar.ring, avatar.J).radical is None
+    # With two primes the NE test data needs no intersection of its own:
+    # the complement of each prime is the other one, and the full meet
+    # is the ring's.
+    monkeypatch.setattr(Ideal, "intersect", None)
+    construct_ne_test_data(avatar.qring)

@@ -151,6 +151,27 @@ def test_bad_dc_mode_is_rejected():
         parse_script(RING_LINE + "\nlet D = dc(ideal(Y), weak)")
 
 
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("ring R = poly(p=2; X, Y, X)", "line 1, token 14: duplicate variable 'X'"),
+        (
+            RING_LINE + "\nlet K = ker(U; X -> U, Y -> U^2, X -> U^3)",
+            "line 2, token 18: duplicate source variable 'X'",
+        ),
+        (
+            RING_LINE + "\nlet K = ker(U, U; X -> U)",
+            "line 2, token 8: duplicate target variable 'U'",
+        ),
+    ],
+    ids=["ring-variable", "ker-source", "ker-target"],
+)
+def test_repeated_names_are_rejected_where_they_repeat(src, message):
+    with pytest.raises(ScriptError) as info:
+        parse_script(src)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------- running
 
 def test_empty_script_runs_clean():
