@@ -9,6 +9,11 @@ Determinism contract, relied on by every golden test downstream:
 * normal forms try divisors in the stored order of the reducer list,
   on the largest remaining term first: a plain heapq of (key(m), m),
   since the order key sorts the leading monomial first;
+* during Buchberger and ``is_groebner_basis`` normal forms read the
+  rows (lead, inverse lead coefficient, tail) the basis keeps as it
+  grows, and a memo of each monomial's first dividing row; rows are only
+  appended, so a memoized first divisor stays first and the divisor
+  order is the same as a fresh scan of the list;
 * the returned basis is the reduced one (monic, tails reduced, minimal
   leading monomials) sorted by leading monomial, largest first, which is
   canonical for the pair (ideal, order).
@@ -19,68 +24,106 @@ same bases constantly; the fill is idempotent, so racing writers agree.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
+from itertools import islice
+from operator import add, le, mul, sub
 
-from .monomials import (
-    MonomialOrder,
-    mono_coprime,
-    mono_degree,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-    mono_sub,
-)
+from .monomials import MonomialOrder, mono_divides, mono_lcm, mono_mul, mono_sub
 from .poly import Poly, PolyRing, transport
 
 _GB_CACHE = {}
+
+
+class BasisRows:
+    """A reducer list that keeps its division rows and first-divisor memo.
+
+    Each appended polynomial adds the row (lm, inverse lc, tail terms);
+    zero polynomials add none.  ``first`` maps every monomial looked up
+    so far to its first dividing row, or to the number of rows it was
+    found irreducible against.  Rows are only ever appended, so a first
+    divisor stays first and an irreducible monomial need only be checked
+    against the rows added since.
+    """
+
+    __slots__ = ("polys", "rows", "first")
+
+    def __init__(self, polys=()):
+        self.polys = []
+        self.rows = []
+        self.first = {}
+        for g in polys:
+            self.append(g)
+
+    def append(self, g: Poly):
+        self.polys.append(g)
+        if g.terms:
+            lc, lm = g.terms[0]
+            # Bases are monic, so most leads need no inverse.
+            inv_lc = lc if lc == 1 else g.ring.field.inv(lc)
+            self.rows.append((lm, inv_lc, g.terms[1:]))
+
+    def __len__(self):
+        return len(self.polys)
+
+    def __getitem__(self, i):
+        return self.polys[i]
+
+    def __iter__(self):
+        return iter(self.polys)
 
 
 def normal_form(f: Poly, reducers) -> Poly:
     """Full remainder of f modulo the reducer list.
 
     Every term of the result is irreducible; divisors are tried in list
-    order, which pins the outcome for non-basis reducer lists too.
+    order, which pins the outcome for non-basis reducer lists too.  A
+    ``BasisRows`` is read as it stands; any other list gets fresh rows.
     """
     if not f.terms:
         return f
+    if reducers.__class__ is not BasisRows:
+        reducers = BasisRows(reducers)
+    rows = reducers.rows
+    if not rows:
+        return f
+    first = reducers.first
+    n = len(rows)
     ring = f.ring
     p = ring.field.p
-    inv = ring.field.inv
     key = ring.order.key
-    # Bases are monic, so most leads need no inverse.
-    table = [
-        (g.terms[0][1], lc if (lc := g.terms[0][0]) == 1 else inv(lc), g.terms)
-        for g in reducers
-        if g.terms
-    ]
-    if not table:
-        return f
     work = {m: c for c, m in f.terms}
     heap = [(key(m), m) for m in work]
-    heapq.heapify(heap)
+    heapify(heap)
     remainder = {}
     while heap:
-        _, m = heapq.heappop(heap)
-        c = work.get(m)
+        m = heappop(heap)[1]
+        c = work.pop(m, 0)
         if not c:
             continue
-        for lm, inv_lc, terms in table:
-            if mono_divides(lm, m):
-                factor = c * inv_lc % p
-                shift = mono_sub(m, lm)
-                for cg, mg in terms:
-                    mm = mono_mul(mg, shift)
-                    v = (work.get(mm, 0) - factor * cg) % p
-                    if v:
-                        if mm not in work:
-                            heapq.heappush(heap, (key(mm), mm))
-                        work[mm] = v
-                    else:
-                        work.pop(mm, None)
-                break
-        else:
-            remainder[m] = c
-            del work[m]
+        row = first.get(m, 0)
+        if row.__class__ is int:
+            for row in islice(rows, row, None):
+                if all(map(le, row[0], m)):
+                    break
+            else:
+                first[m] = n
+                remainder[m] = c
+                continue
+            first[m] = row
+        lm, inv_lc, tail = row
+        factor = c * inv_lc % p
+        shift = tuple(map(sub, m, lm))
+        # The lead cancels m exactly; only the tail lands in work.
+        for cg, mg in tail:
+            mm = tuple(map(add, mg, shift))
+            v = work.get(mm)
+            if v is None:
+                work[mm] = -factor * cg % p
+                heappush(heap, (key(mm), mm))
+            elif v := (v - factor * cg) % p:
+                work[mm] = v
+            else:
+                del work[mm]
     return Poly.from_dict(ring, remainder)
 
 
@@ -95,36 +138,37 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
 
 
 def _buchberger(ring: PolyRing, gens):
-    basis = [g.monic() for g in gens]
+    basis = BasisRows(g.monic() for g in gens)
     lms = [g.terms[0][1] for g in basis]
     # done[i] holds every k whose pair with i has been popped.
-    done = [set() for _ in basis]
+    done = [set() for _ in lms]
     pairs = []
-    for j in range(len(basis)):
+    for j, lm in enumerate(lms):
         for i in range(j):
-            lcm = mono_lcm(lms[i], lms[j])
-            pairs.append((mono_degree(lcm), i, j, lcm))
-    heapq.heapify(pairs)
+            lcm = tuple(map(max, lms[i], lm))
+            pairs.append((sum(lcm), i, j, lcm))
+    heapify(pairs)
     while pairs:
-        _, i, j, lcm = heapq.heappop(pairs)
+        _, i, j, lcm = heappop(pairs)
         done[i].add(j)
         done[j].add(i)
-        if mono_coprime(lms[i], lms[j]):
+        if not any(map(mul, lms[i], lms[j])):
             continue
-        if any(mono_divides(lms[k], lcm) for k in done[i] & done[j]):
+        if any(all(map(le, lms[k], lcm)) for k in done[i] & done[j]):
             continue
         r = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if r.is_zero:
             continue
         r = r.monic()
         basis.append(r)
-        lms.append(r.terms[0][1])
+        lm = r.terms[0][1]
+        t = len(lms)
+        lms.append(lm)
         done.append(set())
-        t = len(basis) - 1
         for k in range(t):
-            lcm = mono_lcm(lms[k], lms[t])
-            heapq.heappush(pairs, (mono_degree(lcm), k, t, lcm))
-    return basis
+            lcm = tuple(map(max, lms[k], lm))
+            heappush(pairs, (sum(lcm), k, t, lcm))
+    return basis.polys
 
 
 def _reduce_basis(ring: PolyRing, basis):
@@ -168,7 +212,7 @@ def groebner_basis(ring: PolyRing, gens) -> tuple:
 
 def is_groebner_basis(basis) -> bool:
     """Buchberger criterion: every S-polynomial reduces to zero."""
-    basis = [g for g in basis if not g.is_zero]
+    basis = BasisRows(g for g in basis if not g.is_zero)
     for j in range(len(basis)):
         for i in range(j):
             if not normal_form(s_polynomial(basis[i], basis[j]), basis).is_zero:

@@ -48,6 +48,22 @@ class PolyRing:
             raise ValueError(f"duplicate variable names: {names}")
         if self.order.kind == "block" and self.order.front > len(names):
             raise ValueError("front block exceeds variable count")
+        # Rings key every basis cache lookup: hash once, and let a ring
+        # meet itself without comparing fields.  Equality stays
+        # structural, so separately built equal rings share cache keys.
+        object.__setattr__(self, "_hash", hash((self.field, names, self.order)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not PolyRing:
+            return NotImplemented
+        return (self.field, self.variables, self.order) == (
+            other.field, other.variables, other.order
+        )
 
     @property
     def nvars(self) -> int:

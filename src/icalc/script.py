@@ -240,9 +240,10 @@ class _LineParser:
         self.pos += 1
 
     def expect_mode(self):
-        mode = self.expect_name("'tight' or 'ne'")
-        if mode not in (TIGHT, NE):
+        kind, mode = self.peek()
+        if kind != "name" or mode not in (TIGHT, NE):
             self.error("'tight' or 'ne'")
+        self.pos += 1
         return mode
 
     def at_end(self):
@@ -253,8 +254,12 @@ class _LineParser:
     def poly_text(self, what="a polynomial"):
         start = self.pos
         while self.pos < len(self.toks):
-            if self.toks[self.pos][0] == "op" and self.toks[self.pos][1] in ",)":
+            kind, value = self.toks[self.pos]
+            if kind == "op" and value in ",)":
                 break
+            # adjacent factors would print glued into another name
+            if kind != "op" and self.pos > start and self.toks[self.pos - 1][0] != "op":
+                self.error("'*' between factors")
             self.pos += 1
         if self.pos == start:
             self.error(what)

@@ -103,6 +103,15 @@ def test_run_rejects_bad_declarations_without_a_traceback(tmp_path, capsys, text
     assert captured.out == ""
 
 
+def test_run_rejects_a_missing_star_instead_of_gluing_names(tmp_path, capsys):
+    # X 2 used to print as X2, another variable of this ring, and pass
+    text = "ring R = poly(p=2; X, X2)\ncheck equal(ideal(X 2), ideal(X2))\n"
+    assert main(["run", write(tmp_path, text)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "icalc: line 2, token 7: expected '*' between factors, found 2\n"
+    assert captured.out == ""
+
+
 def test_run_json_to_stdout(tmp_path, capsys):
     assert main(["run", write(tmp_path, GOOD_SCRIPT), "--json"]) == EXIT_OK
     data = json.loads(capsys.readouterr().out)

@@ -5,6 +5,7 @@ import pytest
 from icalc.errors import ParseError, RingMismatchError, UnknownVariableError
 from icalc.monomials import MonomialOrder
 from icalc.field import PrimeField
+from icalc.groebner import groebner_basis
 from icalc.poly import PolyRing, frobenius_power, parse_poly
 
 
@@ -97,3 +98,17 @@ def test_monic(ring3):
 def test_cross_ring_operations_rejected(ring2, ring3):
     with pytest.raises(RingMismatchError):
         ring2.parse("X") + ring3.parse("X")
+
+
+def test_equal_rings_built_apart_hash_and_compare_equal():
+    def build(order=MonomialOrder.grevlex(), p=3):
+        return PolyRing(PrimeField(p), ("X", "Y"), order)
+
+    a, b = build(), build()
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != build(MonomialOrder.lex()) and a != build(p=5)
+    assert a != PolyRing(PrimeField(3), ("Y", "X"), MonomialOrder.grevlex())
+    # the basis cache keys on rings, so an equal ring built apart hits
+    basis = groebner_basis(a, (a.parse("X^2 - Y"), a.parse("X*Y")))
+    assert groebner_basis(b, (b.parse("X^2 - Y"), b.parse("X*Y"))) is basis

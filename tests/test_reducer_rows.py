@@ -1,0 +1,120 @@
+"""Reducer rows kept with the basis, and the first-divisor memo.
+
+Inside _buchberger every normal form reads the rows and memo the basis
+has built up so far; a plain reducer list gets fresh ones.  Both must
+give the remainder that dividing by the first row in list order gives.
+"""
+
+import random
+
+import pytest
+
+from conftest import ii, surface_avatar
+from icalc import groebner
+from icalc.field import PrimeField
+from icalc.groebner import BasisRows, is_groebner_basis, normal_form
+from icalc.monomials import MonomialOrder
+from icalc.poly import PolyRing
+from icalc.properties import _random_polys, _random_ring
+from test_pair_queue import CLASSIC, classic_ring
+
+
+def checked_buchberger(monkeypatch, ring, gens):
+    """Run _buchberger, checking each normal form against a plain copy."""
+    calls = []
+
+    def spy(f, reducers):
+        assert isinstance(reducers, BasisRows)
+        result = normal_form(f, reducers)
+        assert result == normal_form(f, list(reducers))
+        calls.append(len(reducers))
+        return result
+
+    monkeypatch.setattr(groebner, "normal_form", spy)
+    basis = groebner._buchberger(ring, gens)
+    monkeypatch.undo()
+    return basis, calls
+
+
+def test_seeded_small_ideals(monkeypatch):
+    reduced = 0
+    for seed in range(50):
+        rng = random.Random(seed)
+        ring = _random_ring(rng)
+        _, calls = checked_buchberger(monkeypatch, ring, _random_polys(rng, ring))
+        reduced += len(calls)
+    assert reduced > 50
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIC))
+def test_classic_systems(monkeypatch, name):
+    nvars, texts = CLASSIC[name]
+    ring = classic_ring(nvars)
+    _, calls = checked_buchberger(monkeypatch, ring, tuple(ring.parse(t) for t in texts))
+    assert calls
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("e", [0, 1, 2])
+def test_surface_bracket_targets(monkeypatch, p, e):
+    avatar = surface_avatar(p)
+    target = ii(avatar.ring, "Z", "X - T").bracket_power(e) + avatar.J
+    _, calls = checked_buchberger(monkeypatch, avatar.ring, target.generators)
+    assert calls
+
+
+@pytest.fixture
+def ring():
+    return PolyRing(PrimeField(5), ("X", "Y", "Z"), MonomialOrder.grevlex())
+
+
+def test_stale_memo_sees_an_appended_row(ring):
+    rows = BasisRows([ring.parse("Y - Z")])
+    x2 = ring.parse("X^2 + Y")
+    assert normal_form(x2, rows) == ring.parse("X^2 + Z")
+    # X^2 was found irreducible against the one row there was
+    assert rows.first[(2, 0, 0)] == 1
+    rows.append(ring.parse("X - Z"))
+    assert normal_form(x2, rows) == ring.parse("Z^2 + Z")
+    assert rows.first[(2, 0, 0)] is rows.rows[1]
+    assert normal_form(x2, rows) == normal_form(x2, list(rows))
+
+
+def test_earlier_row_wins_when_two_divide(ring):
+    f = ring.parse("X*Y")
+    first_x = [ring.parse("X - Z"), ring.parse("X*Y - 1")]
+    assert normal_form(f, first_x) == ring.parse("Y*Z")
+    assert normal_form(f, first_x[::-1]) == ring.parse("1")
+    rows = BasisRows(first_x)
+    assert normal_form(f, rows) == ring.parse("Y*Z")
+    assert rows.first[(1, 1, 0)] is rows.rows[0]
+
+
+def test_non_monic_reducer_in_a_plain_list(ring):
+    # 2*X = Y, so X = 3*Y and X^2 = 9*Y^2 = 4*Y^2 over F_5
+    reducers = (ring.parse("2*X - Y"),)
+    assert normal_form(ring.parse("X"), reducers) == ring.parse("3*Y")
+    assert normal_form(ring.parse("X^2 + Z"), reducers) == ring.parse("4*Y^2 + Z")
+    assert BasisRows(reducers).rows[0][1] == 3
+
+
+def test_zero_reducers_add_no_row(ring):
+    rows = BasisRows([ring.zero(), ring.parse("Y")])
+    assert len(rows) == 2 and len(rows.rows) == 1
+    assert rows[0].is_zero
+    assert normal_form(ring.parse("X*Y + X"), rows) == ring.parse("X")
+
+
+def test_is_groebner_basis_reads_one_rows_object(monkeypatch, ring):
+    seen = []
+
+    def spy(f, reducers):
+        seen.append(reducers)
+        return normal_form(f, reducers)
+
+    monkeypatch.setattr(groebner, "normal_form", spy)
+    gb = groebner.groebner_basis(ring, (ring.parse("Y - X^2"), ring.parse("Z - X^3")))
+    seen.clear()
+    assert is_groebner_basis(gb)
+    assert len(seen) == len(gb) * (len(gb) - 1) // 2
+    assert all(r is seen[0] for r in seen) and isinstance(seen[0], BasisRows)

@@ -152,6 +152,52 @@ def test_bad_dc_mode_is_rejected():
 
 
 @pytest.mark.parametrize(
+    "line, message",
+    [
+        ("let D = dc(ideal(Y), weak)", "line 2, token 11: expected 'tight' or 'ne', found 'weak'"),
+        (
+            "report closedness(ideal(Y), weak)",
+            "line 2, token 9: expected 'tight' or 'ne', found 'weak'",
+        ),
+        ("let D = dc(ideal(Y), 3)", "line 2, token 11: expected 'tight' or 'ne', found 3"),
+    ],
+    ids=["dc", "closedness", "dc-int"],
+)
+def test_bad_mode_is_reported_at_the_mode(line, message):
+    with pytest.raises(ScriptError) as info:
+        parse_script(RING_LINE + "\n" + line)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        (
+            "ring R = poly(p=2; X, X2)\ncheck equal(ideal(X 2), ideal(X2))",
+            "line 2, token 7: expected '*' between factors, found 2",
+        ),
+        (
+            "ring R = poly(p=2; Y, Y1)\nlet I = ideal(Y Y1 2)",
+            "line 2, token 7: expected '*' between factors, found 'Y1'",
+        ),
+        (
+            "ring R = poly(p=2; X, Y)\nreport frobenius(ideal(X), X^2 3, Y)",
+            "line 2, token 12: expected '*' between factors, found 3",
+        ),
+        (
+            "ring R = poly(p=2; X, Y)\nlet K = ker(U; X -> 2 U, Y -> U)",
+            "line 2, token 11: expected '*' between factors, found 'U'",
+        ),
+    ],
+    ids=["name-int", "name-name", "int-int", "int-name"],
+)
+def test_adjacent_factors_need_a_star(src, message):
+    with pytest.raises(ScriptError) as info:
+        parse_script(src)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "src, message",
     [
         ("ring R = poly(p=2; X, Y, X)", "line 1, token 14: duplicate variable 'X'"),
