@@ -21,6 +21,10 @@ class RingMismatchError(IcalcError):
     """Operands live in different rings."""
 
 
+class RingSpecError(IcalcError, ValueError):
+    """A polynomial ring was given a bad field, variable list or order."""
+
+
 class CapacityError(IcalcError):
     """An exponent left the supported machine range."""
 

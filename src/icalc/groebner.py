@@ -5,7 +5,10 @@ Determinism contract, relied on by every golden test downstream:
 * pair selection is by minimal lcm total degree, ties broken by the
   lexicographic (i, j) of the generator indices, popped from a heap;
 * both classical pruning criteria run (coprime leads, chain); the chain
-  criterion looks for k only among the popped partners of both i and j;
+  criterion looks for k only among the popped partners of both i and j,
+  kept per element as an int bitmask and walked lowest bit first;
+* an S-polynomial sums only the two shifted, scaled tails: the leads
+  cancel and are never formed;
 * normal forms try divisors in the stored order of the reducer list,
   on the largest remaining term first: a plain heapq of (key(m), m),
   since the order key sorts the leading monomial first;
@@ -16,7 +19,9 @@ Determinism contract, relied on by every golden test downstream:
   order is the same as a fresh scan of the list;
 * the returned basis is the reduced one (monic, tails reduced, minimal
   leading monomials) sorted by leading monomial, largest first, which is
-  canonical for the pair (ideal, order).
+  canonical for the pair (ideal, order); every tail reduces against one
+  shared row set of the minimal elements, where an element's own row
+  never divides a monomial below its lead.
 
 Results are memoized on (ring, generators) since callers recompute the
 same bases constantly; the fill is idempotent, so racing writers agree.
@@ -28,7 +33,8 @@ from heapq import heapify, heappop, heappush
 from itertools import islice
 from operator import add, le, mul, sub
 
-from .monomials import MonomialOrder, mono_divides, mono_lcm, mono_mul, mono_sub
+from .errors import RingMismatchError
+from .monomials import MonomialOrder, mono_divides, mono_mul, mono_sub
 from .poly import Poly, PolyRing, transport
 
 _GB_CACHE = {}
@@ -128,20 +134,33 @@ def normal_form(f: Poly, reducers) -> Poly:
 
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:
+    """lcm/lt(f) * f - lcm/lt(g) * g, summed over the two tails only.
+
+    Both shifted leads are the lcm with coefficient 1 and cancel, so
+    they are never formed.
+    """
     cf, mf = f.terms[0]
     cg, mg = g.terms[0]
+    f._check_ring(g)
     field = f.ring.field
-    lcm = mono_lcm(mf, mg)
-    a = f.mul_term(field.inv(cf), mono_sub(lcm, mf))
-    b = g.mul_term(field.inv(cg), mono_sub(lcm, mg))
-    return a - b
+    a = field.inv(cf)
+    b = field.inv(cg)
+    lcm = tuple(map(max, mf, mg))
+    shift = tuple(map(sub, lcm, mf))
+    # Distinct terms of f stay distinct after the shift.
+    acc = {tuple(map(add, m, shift)): a * c for c, m in islice(f.terms, 1, None)}
+    shift = tuple(map(sub, lcm, mg))
+    for c, m in islice(g.terms, 1, None):
+        mm = tuple(map(add, m, shift))
+        acc[mm] = acc.get(mm, 0) - b * c
+    return Poly.from_dict(f.ring, acc)
 
 
 def _buchberger(ring: PolyRing, gens):
     basis = BasisRows(g.monic() for g in gens)
     lms = [g.terms[0][1] for g in basis]
-    # done[i] holds every k whose pair with i has been popped.
-    done = [set() for _ in lms]
+    # Bit k of done[i] is set once the pair (i, k) has been popped.
+    done = [0] * len(lms)
     pairs = []
     for j, lm in enumerate(lms):
         for i in range(j):
@@ -150,11 +169,19 @@ def _buchberger(ring: PolyRing, gens):
     heapify(pairs)
     while pairs:
         _, i, j, lcm = heappop(pairs)
-        done[i].add(j)
-        done[j].add(i)
+        done[i] |= 1 << j
+        done[j] |= 1 << i
         if not any(map(mul, lms[i], lms[j])):
             continue
-        if any(all(map(le, lms[k], lcm)) for k in done[i] & done[j]):
+        # Chain criterion: some k paired with both i and j has a lead
+        # dividing the lcm; walk the common bits, lowest first.
+        both = done[i] & done[j]
+        while both:
+            low = both & -both
+            if all(map(le, lms[low.bit_length() - 1], lcm)):
+                break
+            both ^= low
+        if both:
             continue
         r = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if r.is_zero:
@@ -164,7 +191,7 @@ def _buchberger(ring: PolyRing, gens):
         lm = r.terms[0][1]
         t = len(lms)
         lms.append(lm)
-        done.append(set())
+        done.append(0)
         for k in range(t):
             lcm = tuple(map(max, lms[k], lm))
             heappush(pairs, (sum(lcm), k, t, lcm))
@@ -181,13 +208,16 @@ def _reduce_basis(ring: PolyRing, basis):
         lm = g.terms[0][1]
         if not any(mono_divides(h.terms[0][1], lm) for h in minimal):
             minimal.append(g)
+    # Every tail monomial, and every monomial its reduction makes, lies
+    # below the element's own lead, which its own row therefore never
+    # divides: the first divisor in the shared rows is the first among
+    # the other elements.  The lead is minimal, and monic from
+    # _buchberger, so it survives unchanged.
+    rows = BasisRows(minimal)
     reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        r = normal_form(g, others)
-        # lm(g) is not divisible by any other leading monomial, so it
-        # survives the reduction and r cannot vanish.
-        reduced.append(r.monic())
+    for g in minimal:
+        tail = normal_form(Poly(ring, g.terms[1:]), rows)
+        reduced.append(Poly(ring, g.terms[:1] + tail.terms))
     reduced.sort(key=lambda g: key(g.terms[0][1]))
     return tuple(reduced)
 
@@ -197,7 +227,7 @@ def groebner_basis(ring: PolyRing, gens) -> tuple:
     gens = tuple(g for g in gens if not g.is_zero)
     for g in gens:
         if g.ring != ring:
-            raise ValueError("generator outside the stated ring")
+            raise RingMismatchError("generator outside the stated ring")
     cache_key = (ring, gens)
     hit = _GB_CACHE.get(cache_key)
     if hit is not None:

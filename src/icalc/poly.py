@@ -24,6 +24,7 @@ from .errors import (
     CapacityError,
     ParseError,
     RingMismatchError,
+    RingSpecError,
     UnknownVariableError,
 )
 from .field import PrimeField
@@ -41,17 +42,27 @@ class PolyRing:
     order: MonomialOrder
 
     def __post_init__(self):
-        names = self.variables
+        field, names, order = self.field, self.variables, self.order
+        if not isinstance(field, PrimeField):
+            raise RingSpecError(f"field must be a PrimeField, not {field!r}")
+        if not isinstance(names, tuple) or not all(
+            isinstance(name, str) and name for name in names
+        ):
+            raise RingSpecError(f"variables must be a tuple of names, not {names!r}")
         if not names:
-            raise ValueError("a ring needs at least one variable")
+            raise RingSpecError("variables: a ring needs at least one variable")
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable names: {names}")
-        if self.order.kind == "block" and self.order.front > len(names):
-            raise ValueError("front block exceeds variable count")
+            raise RingSpecError(f"variables: duplicate names in {names}")
+        if not isinstance(order, MonomialOrder):
+            raise RingSpecError(f"order must be a MonomialOrder, not {order!r}")
+        if order.kind == "block" and order.front > len(names):
+            raise RingSpecError(
+                f"order: front block {order.front} exceeds the {len(names)} variables"
+            )
         # Rings key every basis cache lookup: hash once, and let a ring
         # meet itself without comparing fields.  Equality stays
         # structural, so separately built equal rings share cache keys.
-        object.__setattr__(self, "_hash", hash((self.field, names, self.order)))
+        object.__setattr__(self, "_hash", hash((field, names, order)))
 
     def __hash__(self):
         return self._hash
@@ -238,17 +249,6 @@ class Poly:
         return Poly.from_dict(self.ring, acc)
 
     __rmul__ = __mul__
-
-    def mul_term(self, coeff: int, mono) -> "Poly":
-        """Multiply by a single term; preserves the descending term order."""
-        p = self.ring.field.p
-        c = coeff % p
-        if c == 0:
-            return self.ring.zero()
-        return Poly(
-            self.ring,
-            tuple((a * c % p, mono_mul(m, mono)) for a, m in self.terms),
-        )
 
     def monic(self) -> "Poly":
         if self.is_zero or self.terms[0][0] == 1:

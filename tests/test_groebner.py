@@ -1,6 +1,6 @@
 import pytest
 
-from icalc.errors import ParseError
+from icalc.errors import ParseError, RingMismatchError
 from icalc.field import PrimeField
 from icalc.groebner import (
     eliminate_polys,
@@ -65,6 +65,12 @@ def test_unit_ideal_collapses(ring):
 def test_zero_generators_dropped(ring):
     assert groebner_basis(ring, (ring.zero(),)) == ()
     assert groebner_basis(ring, ()) == ()
+
+
+def test_generator_from_another_ring_rejected(ring):
+    other = PolyRing(PrimeField(5), ring.variables, ring.order)
+    with pytest.raises(RingMismatchError, match="outside the stated ring"):
+        groebner_basis(ring, (ring.parse("X"), other.parse("Y")))
 
 
 def test_is_groebner_basis_detects_gaps(ring):

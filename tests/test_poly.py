@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from icalc.errors import ParseError, RingMismatchError, UnknownVariableError
+from icalc.errors import (
+    IcalcError,
+    ParseError,
+    RingMismatchError,
+    RingSpecError,
+    UnknownVariableError,
+)
 from icalc.monomials import MonomialOrder
 from icalc.field import PrimeField
 from icalc.groebner import groebner_basis
@@ -98,6 +104,31 @@ def test_monic(ring3):
 def test_cross_ring_operations_rejected(ring2, ring3):
     with pytest.raises(RingMismatchError):
         ring2.parse("X") + ring3.parse("X")
+
+
+GREVLEX = MonomialOrder.grevlex()
+
+
+@pytest.mark.parametrize(
+    "field, variables, order, named",
+    [
+        (PrimeField(3), ["X", "Y"], GREVLEX, "variables"),
+        (PrimeField(3), ("X", 1), GREVLEX, "variables"),
+        (PrimeField(3), ("X", ""), GREVLEX, "variables"),
+        (3, ("X", "Y"), GREVLEX, "field"),
+        (PrimeField(3), ("X", "Y"), "grevlex", "order"),
+        (PrimeField(3), (), GREVLEX, "variables"),
+        (PrimeField(3), ("X", "Y", "X"), GREVLEX, "variables"),
+        (PrimeField(3), ("X", "Y"), MonomialOrder.block_elimination(3), "order"),
+    ],
+    ids=["list", "non-name", "empty-name", "int-field", "str-order", "no-variables",
+         "duplicate", "block-front"],
+)
+def test_malformed_ring_rejected(field, variables, order, named):
+    with pytest.raises(RingSpecError, match=named) as caught:
+        PolyRing(field, variables, order)
+    # callers that catch ValueError keep working
+    assert isinstance(caught.value, IcalcError) and isinstance(caught.value, ValueError)
 
 
 def test_equal_rings_built_apart_hash_and_compare_equal():
