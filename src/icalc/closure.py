@@ -25,7 +25,7 @@ from .errors import (
     RedundantDecompositionError,
     RingMismatchError,
 )
-from .ideals import Ideal
+from .ideals import Ideal, meet
 from .poly import Poly, PolyRing, frobenius_power
 from .rings import (
     CM,
@@ -61,6 +61,11 @@ def _gb_strings(ideal: Ideal):
     return [str(g) for g in ideal.groebner]
 
 
+def _first_outside(gens, ideal: Ideal):
+    """The first of gens that ideal does not contain; None when all lie in it."""
+    return next((g for g in gens if not ideal.contains(g)), None)
+
+
 @dataclass(frozen=True)
 class ClosureReport:
     """Outcome of one closedness diagnostic.
@@ -69,7 +74,8 @@ class ClosureReport:
     it lies in the decomposition bound but not in the subject ideal.
     Theorem verdicts certify through the citation alone and leave the
     witness empty; the theorem precludes closedness without exhibiting
-    an element of the closure difference.
+    an element of the closure difference.  No report ranges over
+    exponents, so the JSON key e_range is always null.
     """
 
     subject: Ideal
@@ -78,7 +84,6 @@ class ClosureReport:
     status: str
     witness: Poly | None
     citations: tuple
-    e_range: tuple | None
     notes: tuple
 
     def to_json_dict(self):
@@ -91,7 +96,7 @@ class ClosureReport:
         if self.witness is not None:
             out["witness"] = str(self.witness)
         out["citations"] = list(self.citations)
-        out["e_range"] = list(self.e_range) if self.e_range else None
+        out["e_range"] = None
         out["notes"] = list(self.notes)
         return out
 
@@ -212,10 +217,7 @@ def decomposition_closure(ring: QuotientRing, ideal: Ideal, mode: str) -> Ideal:
         for prime, absmin in zip(ring.primes, ring.absolutely_minimal)
         if mode == TIGHT or absmin
     ]
-    result = base + parts[0]
-    for prime in parts[1:]:
-        result = result.intersect(base + prime)
-    return result
+    return meet(base + prime for prime in parts)
 
 
 def closedness_necessary_test(ring: QuotientRing, ideal: Ideal, mode: str) -> ClosureReport:
@@ -230,11 +232,7 @@ def closedness_necessary_test(ring: QuotientRing, ideal: Ideal, mode: str) -> Cl
     base = ideal + ring.defining
     citation = CITE_TIGHT_DECOMPOSITION if mode == TIGHT else CITE_NE_DECOMPOSITION
     kind = "tightly closed" if mode == TIGHT else "NE-closed"
-    witness = None
-    for g in dc.groebner:
-        if not base.contains(g):
-            witness = g
-            break
+    witness = _first_outside(dc.groebner, base)
     if witness is None:
         status = INCONCLUSIVE
         notes = (
@@ -253,7 +251,6 @@ def closedness_necessary_test(ring: QuotientRing, ideal: Ideal, mode: str) -> Cl
         status=status,
         witness=witness,
         citations=(citation,),
-        e_range=None,
         notes=notes,
     )
 
@@ -279,11 +276,7 @@ def theorem_contain_verdict(ring: QuotientRing, ideal: Ideal) -> ClosureReport:
             "the generators are not a system of parameters of the presented ring"
         )
     pq = split.top + split.low
-    outside = None
-    for g in ideal.generators:
-        if not pq.contains(g):
-            outside = g
-            break
+    outside = _first_outside(ideal.generators, pq)
     dc = decomposition_closure(ring, ideal, TIGHT)
     if outside is None:
         status = NOT_CLOSED
@@ -306,7 +299,6 @@ def theorem_contain_verdict(ring: QuotientRing, ideal: Ideal) -> ClosureReport:
         status=status,
         witness=None,
         citations=citations,
-        e_range=None,
         notes=notes,
     )
 
@@ -476,7 +468,6 @@ def structural_verdict(
         status=status,
         witness=None,
         citations=citations,
-        e_range=None,
         notes=tuple(notes),
     )
 
@@ -550,14 +541,7 @@ def construct_ne_test_data(ring: QuotientRing, multipliers=None, cap: int = 10) 
         if not others:
             ds.append(one)
             continue
-        complement = others[0]
-        for other in others[1:]:
-            complement = complement.intersect(other)
-        d = None
-        for g in complement.groebner:
-            if not primes[i].contains(g):
-                d = g
-                break
+        d = _first_outside(meet(others).groebner, primes[i])
         if d is None:
             raise RedundantDecompositionError(
                 f"every generator of the complementary intersection lies in "

@@ -279,12 +279,27 @@ def exact_divide(h: Poly, f: Poly) -> Poly:
     return Poly.from_dict(ring, quotient)
 
 
+def eliminate_front(aux: PolyRing, gens, ring: PolyRing, back) -> tuple:
+    """The one block-elimination step: basis members free of the front.
+
+    aux is ordered by block_elimination(k); the members of the basis of
+    gens with no exponent in aux's first k variables generate the
+    elimination ideal, and are carried into ring, back[i] being the index
+    there of aux's i-th variable.
+    """
+    k = aux.order.front
+    return tuple(
+        transport(g, ring, back)
+        for g in groebner_basis(aux, gens)
+        if not any(any(m[:k]) for _, m in g.terms)
+    )
+
+
 def eliminate_polys(ring: PolyRing, gens, front_names) -> tuple:
     """Generators of the elimination ideal dropping the named variables.
 
-    Recomputes a basis under a block order with the named variables in
-    the dominant block and keeps the members avoiding them.  The result
-    lives back in the original ring.
+    Permutes the named variables into the dominant block of a block
+    order and takes the one elimination step back into the original ring.
     """
     front_idx = [ring.var_index(name) for name in front_names]
     if len(set(front_idx)) != len(front_idx):
@@ -302,13 +317,4 @@ def eliminate_polys(ring: PolyRing, gens, front_names) -> tuple:
         MonomialOrder.block_elimination(len(front_idx)),
     )
     aux_gens = [transport(g, aux_ring, positions) for g in gens]
-    k = len(front_idx)
-    kept = [
-        g
-        for g in groebner_basis(aux_ring, aux_gens)
-        if all(not any(m[:k]) for _, m in g.terms)
-    ]
-    back = [0] * ring.nvars
-    for new, old in enumerate(perm):
-        back[new] = old
-    return tuple(transport(g, ring, back) for g in kept)
+    return eliminate_front(aux_ring, aux_gens, ring, perm)

@@ -4,12 +4,15 @@ An Ideal keeps its original nonzero generators; the reduced basis is
 computed on demand and memoized, and all equality checks go through it.
 Intersections, colons, kernels and radical membership are implemented by
 the classical auxiliary-variable eliminations, which stay inside the
-engine's determinism contract.
+engine's determinism contract.  Intersections and presentation kernels
+share one elimination step, ``groebner.eliminate_front``; every meet of
+several ideals, colons by an ideal included, is the left fold ``meet``.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 
 from .errors import (
     RingMismatchError,
@@ -18,7 +21,7 @@ from .errors import (
     ZeroColonError,
 )
 from .grading import positive_grading
-from .groebner import eliminate_polys, exact_divide, groebner_basis, normal_form
+from .groebner import eliminate_front, eliminate_polys, exact_divide, groebner_basis, normal_form
 from .monomials import MonomialOrder, mono_support
 from .poly import Poly, PolyRing, frobenius_power, transport
 
@@ -28,6 +31,11 @@ def _aux_name(ring: PolyRing) -> str:
     while f"_t{i}" in ring.variables:
         i += 1
     return f"_t{i}"
+
+
+def meet(ideals) -> "Ideal":
+    """Intersection of a nonempty sequence of ideals, folded from the left."""
+    return reduce(lambda acc, I: acc.intersect(I), ideals)
 
 
 class Ideal:
@@ -132,9 +140,7 @@ class Ideal:
             for factor, gens in ((t, self.generators), (one_minus_t, other.generators))
             for g in gens
         ]
-        kept = [g for g in groebner_basis(aux, mixed) if not any(m[0] for _, m in g.terms)]
-        back = [None] + list(range(ring.nvars))
-        return Ideal(ring, tuple(transport(g, ring, back) for g in kept))
+        return Ideal(ring, eliminate_front(aux, mixed, ring, [None, *range(ring.nvars)]))
 
     def colon(self, divisor) -> "Ideal":
         """The transporter {g : g * divisor inside self}.
@@ -156,11 +162,7 @@ class Ideal:
             self._check_ring(divisor)
             if not divisor.generators:
                 raise ZeroColonError("colon by the zero ideal")
-            acc = None
-            for g in divisor.generators:
-                piece = self.colon(g)
-                acc = piece if acc is None else acc.intersect(piece)
-            return acc
+            return meet(self.colon(g) for g in divisor.generators)
         raise TypeError(f"cannot colon by {divisor!r}")
 
     def eliminate(self, front_names) -> "Ideal":
@@ -275,21 +277,15 @@ def ring_map_kernel(source_ring: PolyRing, target_ring: PolyRing, images) -> Ide
             joint_target_names.append(name)
         else:
             joint_target_names.append(t)
+    m = target_ring.nvars
     joint = PolyRing(
         source_ring.field,
         tuple(joint_target_names) + source_ring.variables,
-        MonomialOrder.grevlex(),
+        MonomialOrder.block_elimination(m),
     )
-    m = target_ring.nvars
-    target_pos = list(range(m))
-    gens = []
-    for v in source_ring.variables:
-        img = images[v]
-        gens.append(joint.var(v) - transport(img, joint, target_pos))
-    kept = eliminate_polys(joint, gens, tuple(joint_target_names))
-    back = [None] * joint.nvars
-    for i in range(source_ring.nvars):
-        back[m + i] = i
-    return Ideal(
-        source_ring, tuple(transport(g, source_ring, back) for g in kept)
-    )
+    gens = [
+        joint.var(v) - transport(images[v], joint, range(m))
+        for v in source_ring.variables
+    ]
+    back = [None] * m + list(range(source_ring.nvars))
+    return Ideal(source_ring, eliminate_front(joint, gens, source_ring, back))

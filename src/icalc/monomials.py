@@ -49,10 +49,6 @@ def mono_degree(a):
     return sum(a)
 
 
-def mono_is_one(a):
-    return not any(a)
-
-
 def mono_coprime(a, b):
     return not any(map(mul, a, b))
 

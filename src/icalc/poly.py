@@ -179,13 +179,6 @@ class Poly:
     def is_constant(self) -> bool:
         return not self.terms or not any(self.terms[0][1])
 
-    def constant_value(self) -> int:
-        if self.is_zero:
-            return 0
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self}")
-        return self.terms[0][0]
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_ring(self, other: "Poly"):
@@ -338,8 +331,7 @@ def transport(f: Poly, ring2: PolyRing, positions=None) -> Poly:
 
 # -- text format -----------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([-+*^()\[\],;=/])|(->))")
-_ARROW_RE = re.compile(r"\s*->")
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|(->|[-+*^()\[\],;=/]))")
 
 
 def tokenize(text: str):
@@ -348,11 +340,6 @@ def tokenize(text: str):
     pos = 0
     n = len(text)
     while pos < n:
-        arrow = _ARROW_RE.match(text, pos)
-        if arrow:
-            out.append(("op", "->"))
-            pos = arrow.end()
-            continue
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             rest = text[pos:].strip()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .closure import NE, TIGHT, decomposition_closure
 from .field import PrimeField
 from .groebner import groebner_basis, is_groebner_basis, normal_form, s_polynomial
-from .ideals import Ideal
+from .ideals import Ideal, meet
 from .monomials import MonomialOrder, mono_gcd, mono_lcm, mono_sub
 from .poly import PolyRing
 from .rings import make_ring
@@ -109,13 +109,10 @@ def suite_monomial_oracle(cases=DEFAULT_CASES):
         )
         if I.intersect(J) != meet_oracle:
             return "intersection disagrees with the lcm oracle"
-        colon_oracle = None
-        for n in b:
-            step = Ideal(
-                ring,
-                tuple(ring.monomial(1, mono_sub(m, mono_gcd(m, n))) for m in a),
-            )
-            colon_oracle = step if colon_oracle is None else colon_oracle.intersect(step)
+        colon_oracle = meet(
+            Ideal(ring, tuple(ring.monomial(1, mono_sub(m, mono_gcd(m, n))) for m in a))
+            for n in b
+        )
         if I.colon(J) != colon_oracle:
             return "colon disagrees with the division oracle"
         return None

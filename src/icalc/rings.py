@@ -26,7 +26,7 @@ from .errors import (
     RingMismatchError,
 )
 from .grading import is_weight_homogeneous
-from .ideals import Ideal
+from .ideals import Ideal, meet
 from .poly import Poly, PolyRing
 
 CM = "CM"
@@ -42,14 +42,13 @@ class QuotientRing:
         "ambient",
         "defining",
         "primes",
-        "primes_asserted",
         "radical",
         "prime_dims",
         "dim",
         "absolutely_minimal",
     )
 
-    def __init__(self, ambient: PolyRing, defining: Ideal, primes=None, asserted=None):
+    def __init__(self, ambient: PolyRing, defining: Ideal, primes=None):
         if defining.ring != ambient:
             raise RingMismatchError("defining ideal is not in the ambient ring")
         if defining.is_unit:
@@ -58,7 +57,6 @@ class QuotientRing:
         self.defining = defining
         if primes is None:
             self.primes = None
-            self.primes_asserted = None
             self.radical = None
             self.prime_dims = None
             self.dim = defining.dimension()
@@ -67,8 +65,6 @@ class QuotientRing:
         primes = tuple(primes)
         if not primes:
             raise BadDecompositionError("an empty component list is not allowed")
-        if asserted is None:
-            asserted = (True,) * len(primes)
         for P in primes:
             if P.ring != ambient:
                 raise RingMismatchError("component outside the ambient ring")
@@ -79,29 +75,22 @@ class QuotientRing:
                     raise BadDecompositionError(
                         f"defining generator {g} escapes the component {P}"
                     )
-        meet = primes[0]
-        for P in primes[1:]:
-            meet = meet.intersect(P)
-        for g in meet.generators:
+        radical = meet(primes)
+        for g in radical.generators:
             if not defining.radical_contains(g):
                 raise BadDecompositionError(
                     f"component intersection generator {g} is not nilpotent "
                     "modulo the defining ideal"
                 )
         self.primes = primes
-        self.radical = meet
-        self.primes_asserted = tuple(bool(a) for a in asserted)
+        self.radical = radical
         self.prime_dims = tuple(P.dimension() for P in primes)
         self.dim = max(self.prime_dims)
         self.absolutely_minimal = tuple(d == self.dim for d in self.prime_dims)
 
-    def augment(self, I: Ideal) -> Ideal:
-        """Ambient ideal I + J, the representative of I's image in R."""
-        return I + self.defining
-
     def bracket_power(self, I: Ideal, e: int) -> Ideal:
         """Ambient I^[q] + J (q = p^e) for (IR)^[q]; J^[q] lies inside J."""
-        return self.augment(I.bracket_power(e))
+        return I.bracket_power(e) + self.defining
 
     def require_primes(self):
         if self.primes is None:
@@ -114,9 +103,9 @@ class QuotientRing:
         return f"{self.ambient} / {self.defining}{tail}"
 
 
-def make_ring(ambient: PolyRing, defining: Ideal, primes=None, asserted=None) -> QuotientRing:
+def make_ring(ambient: PolyRing, defining: Ideal, primes=None) -> QuotientRing:
     """Validated constructor; see QuotientRing for the checks performed."""
-    return QuotientRing(ambient, defining, primes, asserted)
+    return QuotientRing(ambient, defining, primes)
 
 
 @dataclass(frozen=True)
@@ -142,13 +131,9 @@ def classify(ring: QuotientRing) -> Classification:
     rest_idx = tuple(
         i for i, flag in enumerate(ring.absolutely_minimal) if not flag
     )
-    top = ring.primes[abs_idx[0]]
-    for i in abs_idx[1:]:
-        top = top.intersect(ring.primes[i])
+    top = meet(ring.primes[i] for i in abs_idx)
     if rest_idx:
-        low = ring.primes[rest_idx[0]]
-        for i in rest_idx[1:]:
-            low = low.intersect(ring.primes[i])
+        low = meet(ring.primes[i] for i in rest_idx)
     else:
         low = Ideal(ring.ambient, (ring.ambient.one(),))
     return Classification(

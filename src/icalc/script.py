@@ -341,26 +341,17 @@ class _LineParser:
 
 
 def _toks_text(toks):
-    """Canonical text for a token run; parsing it back gives the same run."""
-    parts = []
-    for kind, value in toks:
-        if kind == "int":
-            parts.append((str(value), "tight"))
-        elif kind == "name":
-            parts.append((value, "tight"))
-        elif value in "+-":
-            parts.append((value, "spaced"))
-        elif value == "->":
-            parts.append((value, "spaced"))
-        else:
-            parts.append((value, "tight"))
-    out = []
-    for i, (text, style) in enumerate(parts):
-        if i and style == "spaced":
+    """Canonical text for a token run; parsing it back gives the same run.
+
+    A space goes between two tokens exactly when either is +, - or ->.
+    """
+    out, spaced_before = [], False
+    for i, (kind, value) in enumerate(toks):
+        spaced = kind == "op" and value in ("+", "-", "->")
+        if i and (spaced or spaced_before):
             out.append(" ")
-        elif i and parts[i - 1][1] == "spaced":
-            out.append(" ")
-        out.append(text)
+        out.append(str(value))
+        spaced_before = spaced
     return "".join(out)
 
 

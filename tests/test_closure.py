@@ -31,6 +31,7 @@ from icalc.closure import (
     REFUTED,
     SUPPORTED,
     TIGHT,
+    _first_outside,
 )
 from icalc.errors import (
     InvalidMultiplierError,
@@ -92,6 +93,15 @@ def test_dc_idempotent_and_monotone(surface):
 
 
 # ------------------------------------------------- necessary tests
+
+def test_first_outside_takes_the_first_escaping_generator(axes):
+    x, y, z = axes.ring.gens()
+    gens = (x * y, y, x * z, z, x)
+    assert _first_outside(gens, axes.J) == y
+    assert _first_outside(gens[2:], axes.J) == z
+    assert _first_outside((x * y, x * z, x * y * z), axes.J) is None
+    assert _first_outside((), axes.J) is None
+
 
 def test_closedness_axes_tight_inconclusive(axes):
     report = closedness_necessary_test(axes.qring, Ideal(axes.ring, ()), TIGHT)

@@ -3,6 +3,7 @@ import pytest
 from conftest import ii, surface_avatar
 
 from icalc import Ideal, MonomialOrder, PolyRing, PrimeField, ring_map_kernel
+from icalc.ideals import meet
 from icalc.errors import (
     RingMismatchError,
     UnknownVariableError,
@@ -38,6 +39,27 @@ def test_intersection_of_coordinate_pieces(axes):
     # intersecting with the whole ring changes nothing
     whole = Ideal(axes.ring, (axes.ring.one(),))
     assert axes.P.intersect(whole) == axes.P
+
+
+def test_meet_is_a_left_fold_of_intersect(ring, monkeypatch):
+    pieces = [ii(ring, "X", "Y^2"), ii(ring, "Y", "Z"), ii(ring, "X*Z", "Y^3"), ii(ring, "Z^2")]
+    fold = pieces[0]
+    for I in pieces[1:]:
+        fold = fold.intersect(I)
+    calls = []
+    original = Ideal.intersect
+
+    def counting(self, other):
+        calls.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(Ideal, "intersect", counting)
+    result = meet(pieces)
+    assert result.generators == fold.generators
+    assert len(calls) == len(pieces) - 1
+    assert [other for _, other in calls] == pieces[1:]
+    calls.clear()
+    assert meet(pieces[:1]) is pieces[0] and not calls
 
 
 @pytest.mark.parametrize("p", [2, 3])
