@@ -21,6 +21,16 @@ EXIT_USAGE = 2
 EXIT_EVALUATION = 3
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, found {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="icalc",
@@ -39,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit the JSON report (to OUT, or stdout when no path is given)",
     )
     run.add_argument("--order", choices=("lex", "grevlex"), default="grevlex")
-    run.add_argument("--emax", type=int, default=5)
+    run.add_argument("--emax", type=_nonnegative_int, default=5)
     run.add_argument("--seed", type=int, default=0)
 
     repro = sub.add_parser("repro", help="replay a built-in scenario")
@@ -61,8 +71,12 @@ def _emit(doc, json_target) -> int:
     if json_target == "-":
         sys.stdout.write(doc.to_json())
     elif json_target is not None:
-        with open(json_target, "w", encoding="utf-8") as handle:
-            handle.write(doc.to_json())
+        try:
+            with open(json_target, "w", encoding="utf-8") as handle:
+                handle.write(doc.to_json())
+        except OSError as exc:
+            print(f"icalc: cannot write {json_target}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         sys.stdout.write(doc.to_text())
     else:
         sys.stdout.write(doc.to_text())

@@ -23,8 +23,15 @@ Determinism contract, relied on by every golden test downstream:
   shared row set of the minimal elements, where an element's own row
   never divides a monomial below its lead.
 
-Results are memoized on (ring, generators) since callers recompute the
-same bases constantly; the fill is idempotent, so racing writers agree.
+One process-wide dict, ``_GB_CACHE``, memoizes every result callers
+recompute constantly, through the one helper ``memoized``.  Reduced bases
+are keyed ``(ring, generators)``; the ideal layer keys its results by a
+leading tag, ``("intersect", ring, A.generators, B.generators)``,
+``("colon", ring, A.generators, divisor)`` (an ideal divisor by its
+generators) and ``("radical", ring, A.generators, f)``, and stores
+generator tuples and bools.  There is no second memo: emptying this dict
+makes every later call cold.  Each fill is idempotent, so racing writers
+agree.
 """
 
 from __future__ import annotations
@@ -228,16 +235,22 @@ def groebner_basis(ring: PolyRing, gens) -> tuple:
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("generator outside the stated ring")
-    cache_key = (ring, gens)
-    hit = _GB_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-    if not gens:
-        result = ()
-    else:
-        result = _reduce_basis(ring, _buchberger(ring, gens))
-    _GB_CACHE[cache_key] = result
-    return result
+    return memoized(
+        (ring, gens), lambda: _reduce_basis(ring, _buchberger(ring, gens)) if gens else ()
+    )
+
+
+def memoized(key, compute):
+    """The cached result for key, from compute() and stored on a miss.
+
+    Every result is a tuple or a bool, never None, so cached ``()`` and
+    ``False`` are hits; the dict is looked up at call time, so clearing
+    or replacing ``_GB_CACHE`` empties the memo.
+    """
+    hit = _GB_CACHE.get(key)
+    if hit is None:
+        hit = _GB_CACHE[key] = compute()
+    return hit
 
 
 def is_groebner_basis(basis) -> bool:

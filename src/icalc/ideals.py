@@ -7,6 +7,8 @@ the classical auxiliary-variable eliminations, which stay inside the
 engine's determinism contract.  Intersections and presentation kernels
 share one elimination step, ``groebner.eliminate_front``; every meet of
 several ideals, colons by an ideal included, is the left fold ``meet``.
+Intersections, colons and radical membership keep their results in the
+one basis cache, through ``groebner.memoized``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,14 @@ from .errors import (
     ZeroColonError,
 )
 from .grading import positive_grading
-from .groebner import eliminate_front, eliminate_polys, exact_divide, groebner_basis, normal_form
+from .groebner import (
+    eliminate_front,
+    eliminate_polys,
+    exact_divide,
+    groebner_basis,
+    memoized,
+    normal_form,
+)
 from .monomials import MonomialOrder, mono_support
 from .poly import Poly, PolyRing, frobenius_power, transport
 
@@ -127,26 +136,33 @@ class Ideal:
         t*g for g in self and (1 - t)*g for g in other are built directly
         in the ring (t, variables...) under block_elimination(1); the
         basis members free of t generate the meet and are carried back.
+        Memoized on both generator tuples.
         """
         self._check_ring(other)
         if not self.generators or not other.generators:
             return Ideal(self.ring, ())
         ring = self.ring
-        order = MonomialOrder.block_elimination(1)
-        aux = PolyRing(ring.field, (_aux_name(ring),) + ring.variables, order)
-        t, one_minus_t = ((1, 1),), ((0, 1), (1, -1))  # (t exponent, sign)
-        mixed = [
-            Poly.from_dict(aux, {(e,) + m: s * c for c, m in g.terms for e, s in factor})
-            for factor, gens in ((t, self.generators), (one_minus_t, other.generators))
-            for g in gens
-        ]
-        return Ideal(ring, eliminate_front(aux, mixed, ring, [None, *range(ring.nvars)]))
+
+        def compute():
+            order = MonomialOrder.block_elimination(1)
+            aux = PolyRing(ring.field, (_aux_name(ring),) + ring.variables, order)
+            t, one_minus_t = ((1, 1),), ((0, 1), (1, -1))  # (t exponent, sign)
+            mixed = [
+                Poly.from_dict(aux, {(e,) + m: s * c for c, m in g.terms for e, s in factor})
+                for factor, gens in ((t, self.generators), (one_minus_t, other.generators))
+                for g in gens
+            ]
+            return eliminate_front(aux, mixed, ring, [None, *range(ring.nvars)])
+
+        key = ("intersect", ring, self.generators, other.generators)
+        return Ideal(ring, memoized(key, compute))
 
     def colon(self, divisor) -> "Ideal":
         """The transporter {g : g * divisor inside self}.
 
         A polynomial divisor goes through intersect-then-divide; an ideal
-        divisor intersects the colons of its generators.
+        divisor intersects the colons of its generators.  Memoized on the
+        generators and the divisor (an ideal divisor by its generators).
         """
         if isinstance(divisor, Poly):
             if divisor.is_zero:
@@ -155,15 +171,24 @@ class Ideal:
                 raise RingMismatchError("colon divisor from another ring")
             if not self.generators:
                 return Ideal(self.ring, ())
-            inter = self.intersect(Ideal(self.ring, (divisor,)))
-            quots = tuple(exact_divide(g, divisor) for g in inter.generators)
-            return Ideal(self.ring, quots)
-        if isinstance(divisor, Ideal):
+            key = ("colon", self.ring, self.generators, divisor)
+
+            def compute():
+                inter = self.intersect(Ideal(self.ring, (divisor,)))
+                return tuple(exact_divide(g, divisor) for g in inter.generators)
+
+        elif isinstance(divisor, Ideal):
             self._check_ring(divisor)
             if not divisor.generators:
                 raise ZeroColonError("colon by the zero ideal")
-            return meet(self.colon(g) for g in divisor.generators)
-        raise TypeError(f"cannot colon by {divisor!r}")
+            key = ("colon", self.ring, self.generators, divisor.generators)
+
+            def compute():
+                return meet(self.colon(g) for g in divisor.generators).generators
+
+        else:
+            raise TypeError(f"cannot colon by {divisor!r}")
+        return Ideal(self.ring, memoized(key, compute))
 
     def eliminate(self, front_names) -> "Ideal":
         """Members not involving the named variables, as an ideal here."""
@@ -182,18 +207,25 @@ class Ideal:
         )
 
     def radical_contains(self, f: Poly) -> bool:
-        """Some power of f lands in the ideal (one extra variable trick)."""
+        """Some power of f lands in the ideal (one extra variable trick).
+
+        Memoized on the generators and f.
+        """
         if f.ring != self.ring:
             raise RingMismatchError(f"{f} is not in {self.ring}")
         if f.is_zero:
             return True
-        name = _aux_name(self.ring)
-        ext = PolyRing(self.ring.field, self.ring.variables + (name,), self.ring.order)
-        t = ext.var(name)
-        gens = [transport(g, ext) for g in self.generators]
-        gens.append(ext.one() - t * transport(f, ext))
-        gb = groebner_basis(ext, gens)
-        return bool(gb) and gb[0].is_constant()
+
+        def compute():
+            name = _aux_name(self.ring)
+            ext = PolyRing(self.ring.field, self.ring.variables + (name,), self.ring.order)
+            t = ext.var(name)
+            gens = [transport(g, ext) for g in self.generators]
+            gens.append(ext.one() - t * transport(f, ext))
+            gb = groebner_basis(ext, gens)
+            return bool(gb) and gb[0].is_constant()
+
+        return memoized(("radical", self.ring, self.generators, f), compute)
 
     def dimension(self) -> int:
         """Krull dimension of the quotient by this ideal; -1 for the unit.

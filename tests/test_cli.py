@@ -161,3 +161,26 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["bogus-command"])
     assert err.value.code == EXIT_USAGE
+
+
+def test_repro_unwritable_json_target_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert main(["repro", "badcolon", "--json", str(target)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"icalc: cannot write {target}: ")
+    assert captured.out == ""
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [GOOD_SCRIPT, "ring R = poly(p=2; X, Y)\nreport frobenius(ideal(X), X, Y)\n"],
+    ids=["no-frobenius", "frobenius"],
+)
+def test_run_rejects_a_negative_emax_at_parsing(tmp_path, capsys, text):
+    with pytest.raises(SystemExit) as err:
+        main(["run", write(tmp_path, text), "--emax", "-1"])
+    assert err.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "argument --emax: expected an integer >= 0, found '-1'" in captured.err
+    assert captured.out == ""

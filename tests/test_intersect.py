@@ -6,6 +6,8 @@ to the front under a block order, and carry the kept members back
 through the extended ring.  The one-hop version builds the same
 generators directly in the ring (t, variables...), so both must hand
 groebner_basis equal arguments and return equal generator tuples.
+Ideal.intersect memoizes its result in the basis cache, so each
+comparison starts from an empty one.
 """
 
 import random
@@ -38,8 +40,12 @@ def reference_intersect(I, J):
 
 @pytest.fixture
 def basis_calls(monkeypatch):
-    """Records the (ring, generators) of every groebner_basis call."""
+    """Records the (ring, generators) of every groebner_basis call.
+
+    The basis cache is a fresh dict for the test, emptied per comparison.
+    """
     calls = []
+    monkeypatch.setattr(groebner, "_GB_CACHE", {})
     original = groebner.groebner_basis
 
     def recording(ring, gens):
@@ -52,6 +58,7 @@ def basis_calls(monkeypatch):
 
 
 def _assert_same_intersection(I, J, calls):
+    groebner._GB_CACHE.clear()
     calls.clear()
     expected = reference_intersect(I, J)
     reference_calls = list(calls)
