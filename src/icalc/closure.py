@@ -14,8 +14,6 @@ to a proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     InvalidMultiplierError,
     NilpotencyBoundError,
@@ -27,6 +25,7 @@ from .errors import (
 )
 from .ideals import Ideal, meet
 from .poly import Poly, PolyRing, frobenius_power
+from .records import Record
 from .rings import (
     CM,
     QuotientRing,
@@ -66,8 +65,7 @@ def _first_outside(gens, ideal: Ideal):
     return next((g for g in gens if not ideal.contains(g)), None)
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(Record):
     """Outcome of one closedness diagnostic.
 
     For decomposition tests the certificate is the witness polynomial:
@@ -78,13 +76,7 @@ class ClosureReport:
     exponents, so the JSON key e_range is always null.
     """
 
-    subject: Ideal
-    mode: str
-    dc_result: Ideal
-    status: str
-    witness: Poly | None
-    citations: tuple
-    notes: tuple
+    __slots__ = ("subject", "mode", "dc_result", "status", "witness", "citations", "notes")
 
     def to_json_dict(self):
         out = {
@@ -101,8 +93,7 @@ class ClosureReport:
         return out
 
 
-@dataclass(frozen=True)
-class FrobeniusCertificate:
+class FrobeniusCertificate(Record):
     """Bounded evidence for c*x^q lying in the bracket powers of an ideal.
 
     supported is evidence, not proof, of closure membership; refuted_for_c
@@ -110,11 +101,7 @@ class FrobeniusCertificate:
     threshold q' is at most p^e for some failing e.
     """
 
-    subject: Ideal
-    x: Poly
-    c: Poly
-    checks: tuple
-    verdict: str
+    __slots__ = ("subject", "x", "c", "checks", "verdict")
 
     def to_json_dict(self):
         return {
@@ -126,19 +113,14 @@ class FrobeniusCertificate:
         }
 
 
-@dataclass(frozen=True)
-class NeTestData:
+class NeTestData(Record):
     """Assembled weak NE-test multiplier and its ingredients.
 
     pairs holds one (c_i, d_i) per absolutely minimal prime, in the
     ring's declared prime order.
     """
 
-    pairs: tuple
-    qprime_exponent: int
-    c: Poly
-    c_in_r_bullet: bool
-    notes: tuple
+    __slots__ = ("pairs", "qprime_exponent", "c", "c_in_r_bullet", "notes")
 
     def to_json_dict(self):
         return {
@@ -150,31 +132,20 @@ class NeTestData:
         }
 
 
-@dataclass(frozen=True)
-class NormalizedSop:
+class NormalizedSop(Record):
     """Parameter generators rewritten to a pure-power lead."""
 
-    h: int
-    lead: Poly
-    rest: tuple
+    __slots__ = ("h", "lead", "rest")
 
 
-@dataclass(frozen=True)
-class ColonCaptureRow:
-    k: int
-    colon: Ideal
-    in_ideal: bool
-    in_tight_bound: bool
-    in_ne_bound: bool
+class ColonCaptureRow(Record):
+    __slots__ = ("k", "colon", "in_ideal", "in_tight_bound", "in_ne_bound")
 
 
-@dataclass(frozen=True)
-class ColonCaptureReport:
+class ColonCaptureReport(Record):
     """Per-step colon diagnostics along a system of parameters."""
 
-    sop: tuple
-    rows: tuple
-    notes: tuple
+    __slots__ = ("sop", "rows", "notes")
 
     def to_json_dict(self):
         return {

@@ -7,9 +7,8 @@ keeps the polynomial layer free of per-coefficient allocation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotPrimeError
+from .records import Record
 
 MAX_MODULUS = 2**31
 
@@ -41,17 +40,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(Record):
     """The field with p elements, p a prime below 2^31."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if not isinstance(self.p, int) or not 2 <= self.p < MAX_MODULUS:
-            raise NotPrimeError(f"modulus must be an integer in [2, 2^31): {self.p!r}")
-        if not is_prime(self.p):
-            raise NotPrimeError(f"modulus is not prime: {self.p}")
+    def __init__(self, p: int):
+        if not isinstance(p, int) or not 2 <= p < MAX_MODULUS:
+            raise NotPrimeError(f"modulus must be an integer in [2, 2^31): {p!r}")
+        if not is_prime(p):
+            raise NotPrimeError(f"modulus is not prime: {p}")
+        object.__setattr__(self, "p", p)
+
+    # Compared on every basis cache lookup between separately built rings.
+    def __eq__(self, other):
+        if other.__class__ is not PrimeField:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self):
+        return hash(self.p)
 
     def normalize(self, a: int) -> int:
         return a % self.p

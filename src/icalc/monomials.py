@@ -10,11 +10,10 @@ exactly when a is larger than b, so ascending sorts, ``min`` and a plain
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from operator import add, le, mul, neg, sub
 
 from .errors import DimensionMismatchError
+from .records import Record
 
 Monomial = tuple  # exponent tuple; alias for readability in signatures
 
@@ -67,23 +66,46 @@ def _lex_lead(m):
     return tuple(map(neg, m))
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+def _block_lead(k):
+    def block_lead(m):
+        f, r = m[:k], m[k:]
+        return (-sum(f), f[::-1], -sum(r), r[::-1])
+
+    return block_lead
+
+
+class MonomialOrder(Record):
     """One of lex, grevlex, or a two-block elimination order.
 
     Block orders compare the first ``front`` exponents under grevlex and
     only then the remaining block, so any monomial meeting the front block
     beats every monomial that avoids it.
+
+    ``key`` is the lead-first key function, chosen once per order; block
+    keys are flat: (-deg f, f reversed, -deg r, r reversed) for front f.
     """
 
-    kind: str
-    front: int = 0
+    __slots__ = ("kind", "front", "key")
+    _fields = ("kind", "front")
 
-    def __post_init__(self):
-        if self.kind not in (LEX, GREVLEX, BLOCK):
-            raise ValueError(f"unknown order kind: {self.kind!r}")
-        if self.kind == BLOCK and self.front < 0:
+    def __init__(self, kind: str, front: int = 0):
+        if kind not in (LEX, GREVLEX, BLOCK):
+            raise ValueError(f"unknown order kind: {kind!r}")
+        if kind == BLOCK and front < 0:
             raise ValueError("front block size must be non-negative")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "front", front)
+        key = _lex_lead if kind == LEX else _grevlex_lead if kind == GREVLEX else _block_lead(front)
+        object.__setattr__(self, "key", key)
+
+    # Compared on every basis cache lookup between separately built rings.
+    def __eq__(self, other):
+        if other.__class__ is not MonomialOrder:
+            return NotImplemented
+        return self.kind == other.kind and self.front == other.front
+
+    def __hash__(self):
+        return hash((self.kind, self.front))
 
     @classmethod
     def lex(cls) -> "MonomialOrder":
@@ -96,22 +118,6 @@ class MonomialOrder:
     @classmethod
     def block_elimination(cls, front: int) -> "MonomialOrder":
         return cls(BLOCK, front)
-
-    @cached_property
-    def key(self):
-        """The lead-first key function, chosen once per order; block keys
-        are flat: (-deg f, f reversed, -deg r, r reversed) for front f."""
-        if self.kind == GREVLEX:
-            return _grevlex_lead
-        if self.kind == LEX:
-            return _lex_lead
-        k = self.front
-
-        def block_lead(m):
-            f, r = m[:k], m[k:]
-            return (-sum(f), f[::-1], -sum(r), r[::-1])
-
-        return block_lead
 
     def __str__(self):
         if self.kind == BLOCK:

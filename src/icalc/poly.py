@@ -18,7 +18,6 @@ prints as ``X + T``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import (
     CapacityError,
@@ -29,40 +28,41 @@ from .errors import (
 )
 from .field import PrimeField
 from .monomials import MonomialOrder, mono_mul
+from .records import Record
 
 MAX_EXPONENT = 2**31
 
 
-@dataclass(frozen=True)
-class PolyRing:
+class PolyRing(Record):
     """A polynomial ring descriptor: field, named variables, term order."""
 
-    field: PrimeField
-    variables: tuple
-    order: MonomialOrder
+    __slots__ = ("field", "variables", "order", "_hash")
+    _fields = ("field", "variables", "order")
 
-    def __post_init__(self):
-        field, names, order = self.field, self.variables, self.order
+    def __init__(self, field: PrimeField, variables: tuple, order: MonomialOrder):
         if not isinstance(field, PrimeField):
             raise RingSpecError(f"field must be a PrimeField, not {field!r}")
-        if not isinstance(names, tuple) or not all(
-            isinstance(name, str) and name for name in names
+        if not isinstance(variables, tuple) or not all(
+            isinstance(name, str) and name for name in variables
         ):
-            raise RingSpecError(f"variables must be a tuple of names, not {names!r}")
-        if not names:
+            raise RingSpecError(f"variables must be a tuple of names, not {variables!r}")
+        if not variables:
             raise RingSpecError("variables: a ring needs at least one variable")
-        if len(set(names)) != len(names):
-            raise RingSpecError(f"variables: duplicate names in {names}")
+        if len(set(variables)) != len(variables):
+            raise RingSpecError(f"variables: duplicate names in {variables}")
         if not isinstance(order, MonomialOrder):
             raise RingSpecError(f"order must be a MonomialOrder, not {order!r}")
-        if order.kind == "block" and order.front > len(names):
+        if order.kind == "block" and order.front > len(variables):
             raise RingSpecError(
-                f"order: front block {order.front} exceeds the {len(names)} variables"
+                f"order: front block {order.front} exceeds the {len(variables)} variables"
             )
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "order", order)
         # Rings key every basis cache lookup: hash once, and let a ring
         # meet itself without comparing fields.  Equality stays
         # structural, so separately built equal rings share cache keys.
-        object.__setattr__(self, "_hash", hash((field, names, order)))
+        object.__setattr__(self, "_hash", hash((field, variables, order)))
 
     def __hash__(self):
         return self._hash

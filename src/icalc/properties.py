@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass
 
 from .closure import NE, TIGHT, decomposition_closure
 from .field import PrimeField
@@ -18,17 +17,15 @@ from .groebner import groebner_basis, is_groebner_basis, normal_form, s_polynomi
 from .ideals import Ideal, meet
 from .monomials import MonomialOrder, mono_gcd, mono_lcm, mono_sub
 from .poly import PolyRing
+from .records import Record
 from .rings import make_ring
 
 DEFAULT_CASES = 200
 _VAR_POOL = ("X", "Y", "Z", "W")
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    cases: int
-    failures: list
+class SuiteResult(Record):
+    __slots__ = ("name", "cases", "failures")
 
 
 def _random_ring(rng, min_vars=1, max_vars=4, order=None):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from .errors import (
     BadDecompositionError,
@@ -28,6 +27,7 @@ from .errors import (
 from .grading import is_weight_homogeneous
 from .ideals import Ideal, meet
 from .poly import Poly, PolyRing
+from .records import Record
 
 CM = "CM"
 NOT_CM = "notCM"
@@ -108,8 +108,7 @@ def make_ring(ambient: PolyRing, defining: Ideal, primes=None) -> QuotientRing:
     return QuotientRing(ambient, defining, primes)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     """Split of the declared components by quotient dimension.
 
     top is the intersection of the components of maximal dimension (the
@@ -117,10 +116,7 @@ class Classification:
     ideal when there are none.
     """
 
-    equidimensional: bool
-    absolutely_minimal: tuple
-    top: Ideal
-    low: Ideal
+    __slots__ = ("equidimensional", "absolutely_minimal", "top", "low")
 
 
 def classify(ring: QuotientRing) -> Classification:
@@ -144,14 +140,10 @@ def classify(ring: QuotientRing) -> Classification:
     )
 
 
-@dataclass(frozen=True)
-class SopCheck:
+class SopCheck(Record):
     """Outcome of a system-of-parameters test."""
 
-    elements: tuple
-    count_matches_dim: bool
-    quotient_dim: int
-    is_sop: bool
+    __slots__ = ("elements", "count_matches_dim", "quotient_dim", "is_sop")
 
 
 def is_system_of_parameters(ring: QuotientRing, elements) -> SopCheck:
@@ -174,14 +166,11 @@ def is_system_of_parameters(ring: QuotientRing, elements) -> SopCheck:
     )
 
 
-@dataclass(frozen=True)
-class RegSeqReport:
+class RegSeqReport(Record):
     """Step-by-step regularity record for a candidate sequence."""
 
-    elements: tuple
-    steps: tuple
-    proper: bool
-    first_failure: int  # index of the first bad step, -1 when none
+    # first_failure is the index of the first bad step, -1 when none
+    __slots__ = ("elements", "steps", "proper", "first_failure")
 
     @property
     def regular(self) -> bool:
@@ -219,8 +208,7 @@ def is_regular_sequence(ring: QuotientRing, elements) -> RegSeqReport:
     )
 
 
-@dataclass(frozen=True)
-class CmProbeResult:
+class CmProbeResult(Record):
     """Depth probe verdict: CM, notCM, or noSopFound.
 
     The graded criterion (one homogeneous system of parameters regular
@@ -229,10 +217,7 @@ class CmProbeResult:
     only reports the sampled sequence.
     """
 
-    verdict: str
-    sop: tuple
-    heuristic: bool
-    report: object  # RegSeqReport or None
+    __slots__ = ("verdict", "sop", "heuristic", "report")  # report: RegSeqReport or None
 
     @property
     def failing_step(self) -> int:

@@ -23,7 +23,6 @@ raw form.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from . import __version__
 from .errors import IcalcError, NeedsPrimesError, ParseError, ScriptError
@@ -32,6 +31,7 @@ from .groebner import normal_form
 from .ideals import Ideal, ring_map_kernel
 from .monomials import MonomialOrder
 from .poly import PolyRing, parse_poly, tokenize
+from .records import Record
 from .rings import is_regular_sequence, is_system_of_parameters, make_ring
 from .closure import (
     NE,
@@ -71,93 +71,67 @@ MAX_NESTING = 100
 
 # ---------------------------------------------------------------- AST
 
-@dataclass(frozen=True)
-class EIdeal:
-    gens: tuple  # canonical generator texts
+class EIdeal(Record):
+    __slots__ = ("gens",)  # canonical generator texts
 
 
-@dataclass(frozen=True)
-class EName:
-    name: str
+class EName(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class ESum:
-    left: object
-    right: object
+class ESum(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class EProd:
-    left: object
-    right: object
+class EProd(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class EMeet:
-    left: object
-    right: object
+class EMeet(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class EColon:
-    left: object
-    right: object
+class EColon(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class EBracket:
-    arg: object
-    e: int
+class EBracket(Record):
+    __slots__ = ("arg", "e")
 
 
-@dataclass(frozen=True)
-class EDc:
-    arg: object
-    mode: str
+class EDc(Record):
+    __slots__ = ("arg", "mode")
 
 
-@dataclass(frozen=True)
-class EKer:
-    targets: tuple          # target variable names
-    images: tuple           # (source variable, image text) pairs
+class EKer(Record):
+    # target variable names; (source variable, image text) pairs
+    __slots__ = ("targets", "images")
 
 
-@dataclass(frozen=True)
-class RingDecl:
-    name: str
-    p: int
-    variables: tuple
-    defining: object        # expr or None
-    primes: tuple           # exprs, possibly empty
-    line: int = field(compare=False)
+class RingDecl(Record):
+    # defining is an expr or None; primes are exprs, possibly none
+    __slots__ = ("name", "p", "variables", "defining", "primes", "line")
+    _uncompared = ("line",)
 
 
-@dataclass(frozen=True)
-class LetStmt:
-    name: str
-    expr: object
-    line: int = field(compare=False)
+class LetStmt(Record):
+    __slots__ = ("name", "expr", "line")
+    _uncompared = ("line",)
 
 
-@dataclass(frozen=True)
-class CheckStmt:
-    kind: str
-    args: tuple             # exprs and ("poly", text) entries
-    line: int = field(compare=False)
+class CheckStmt(Record):
+    # args are exprs and ("poly", text) entries
+    __slots__ = ("kind", "args", "line")
+    _uncompared = ("line",)
 
 
-@dataclass(frozen=True)
-class ReportStmt:
-    kind: str
-    args: tuple
-    flags: tuple
-    line: int = field(compare=False)
+class ReportStmt(Record):
+    __slots__ = ("kind", "args", "flags", "line")
+    _uncompared = ("line",)
 
 
-@dataclass(frozen=True)
-class Script:
-    statements: tuple
+class Script(Record):
+    __slots__ = ("statements",)
 
 
 # ---------------------------------------------------------------- parsing
@@ -177,8 +151,9 @@ def _too_deep(line):
 
 
 class _LineParser:
-    def __init__(self, toks, line_no):
+    def __init__(self, toks, line_no, rings):
         self.toks = toks
+        self.rings = rings  # ring names declared so far; no expression may use one
         self.pos = 0
         self.line = line_no
         self.depth = 0
@@ -336,6 +311,8 @@ class _LineParser:
                 break
             self.expect_op(")")
             return EKer(targets, tuple(images))
+        if value in self.rings:
+            self.fail(f"{value!r} names the ring, not an ideal")
         self.pos += 1
         return EName(value)
 
@@ -359,12 +336,13 @@ def parse_script(source: str) -> Script:
     """Parse the line-oriented script grammar; first error wins."""
     statements = []
     seen_names = set()
+    ring_names = set()
     for line_no, raw_line in enumerate(source.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
         toks = _scan(line, line_no)
-        lp = _LineParser(toks, line_no)
+        lp = _LineParser(toks, line_no, ring_names)
         head = lp.expect_name("'ring', 'let', 'check' or 'report'")
         if head == "ring":
             statements.append(_parse_ring(lp, seen_names))
@@ -404,6 +382,7 @@ def _check_bound(expr, seen, line, depth=1):
 def _parse_ring(lp, seen):
     name = lp.expect_name("a ring name")
     _check_fresh(name, seen, lp.line)
+    lp.rings.add(name)
     lp.expect_op("=")
     lp.expect_keyword("poly")
     lp.expect_op("(")
@@ -537,32 +516,23 @@ def print_script(script: Script) -> str:
 
 # ---------------------------------------------------------------- evaluation
 
-@dataclass(frozen=True)
-class RunOptions:
-    order: str = "grevlex"
-    emax: int = 5
-    seed: int = 0
+class RunOptions(Record):
+    __slots__ = ("order", "emax", "seed")
+    _defaults = {"order": "grevlex", "emax": 5, "seed": 0}
 
 
-@dataclass(frozen=True)
-class ScriptIdeal:
+class ScriptIdeal(Record):
     """A script-level ideal value: entered generators plus quotient handle."""
 
-    raw: tuple
-    handle: Ideal
+    __slots__ = ("raw", "handle")
 
 
-@dataclass(frozen=True)
-class ReportDocument:
+class ReportDocument(Record):
     """Everything a script run produced, ready for text or JSON emission."""
 
-    scenario: str
-    version: str
-    seed: int
-    order: str
-    emax: int
-    checks: tuple           # (label, passed, detail or None) triples
-    entries: tuple          # (label, kind, payload) triples
+    # checks are (label, passed, detail or None) triples; entries are
+    # (label, kind, payload) triples
+    __slots__ = ("scenario", "version", "seed", "order", "emax", "checks", "entries")
 
     @property
     def all_checks_pass(self) -> bool:

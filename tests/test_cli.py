@@ -93,8 +93,19 @@ def test_run_evaluation_error(tmp_path, capsys):
             EXIT_USAGE,
             "icalc: line 2, token 18: duplicate source variable 'X'\n",
         ),
+        (
+            "ring R = poly(p=2; X, Y, Z) / ideal(X*Y, X*Z) with primes [ideal(X), ideal(Y, Z)]\n"
+            "report capture(R)\n",
+            EXIT_USAGE,
+            "icalc: line 2, token 4: 'R' names the ring, not an ideal\n",
+        ),
+        (
+            "ring R = poly(p=2; X, Y)\nlet A = R\n",
+            EXIT_USAGE,
+            "icalc: line 2, token 4: 'R' names the ring, not an ideal\n",
+        ),
     ],
-    ids=["dc-in-ring", "repeated-variable", "ker-source-twice"],
+    ids=["dc-in-ring", "repeated-variable", "ker-source-twice", "ring-as-report-argument", "ring-as-let-value"],
 )
 def test_run_rejects_bad_declarations_without_a_traceback(tmp_path, capsys, text, code, message):
     assert main(["run", write(tmp_path, text)]) == code

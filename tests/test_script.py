@@ -127,6 +127,30 @@ def test_unknown_identifier_is_rejected_at_parse_time():
         parse_script(RING_LINE + "\nlet I = K + ideal(Y)")
 
 
+@pytest.mark.parametrize(
+    "line, token",
+    [
+        ("report capture(R)", 4),
+        ("let A = R", 4),
+        ("check equal(ideal(X) + R, ideal(X))", 9),
+        ("let B = meet(ideal(Y), colon(ideal(X), R))", 18),
+    ],
+)
+def test_ring_name_is_not_an_ideal(line, token):
+    with pytest.raises(ScriptError, match=rf"line 2, token {token}: 'R' names the ring, not an ideal"):
+        parse_script(RING_LINE + "\n" + line)
+
+
+def test_ring_name_is_not_an_ideal_in_its_own_declaration():
+    with pytest.raises(ScriptError, match=r"line 1, token 15: 'R' names the ring, not an ideal"):
+        parse_script("ring R = poly(p=2; X, Y) / R")
+
+
+def test_ring_name_stays_reserved():
+    with pytest.raises(ScriptError, match="line 2: duplicate binding of 'R'"):
+        parse_script(RING_LINE + "\nlet R = ideal(Y)")
+
+
 def test_unknown_statement_head():
     with pytest.raises(ScriptError, match="expected 'ring', 'let', 'check' or 'report'"):
         parse_script("compute ideal(X)")
