@@ -355,7 +355,6 @@ def structural_verdict(
     sop_gens,
     unmixed_asserted: bool = False,
     seed: int = 0,
-    budget: int = 64,
 ) -> ClosureReport:
     """Theorem verdict for rings presented as S/(P meet Q), Q the variable line.
 
@@ -399,7 +398,7 @@ def structural_verdict(
     notes = [
         f"unmixedness of the P-component: {'asserted' if unmixed_asserted else 'not asserted'}"
     ]
-    probe = cm_probe(make_ring(ring, p_ideal), seed=seed, budget=budget)
+    probe = cm_probe(make_ring(ring, p_ideal), seed=seed)
     tag = " (heuristic)" if probe.heuristic else ""
     notes.append(f"cm probe on the P-component: {probe.verdict}{tag}")
     if probe.verdict == CM:

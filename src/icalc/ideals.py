@@ -35,11 +35,13 @@ from .monomials import MonomialOrder, mono_support
 from .poly import Poly, PolyRing, frobenius_power, transport
 
 
-def _aux_name(ring: PolyRing) -> str:
+def _aux_name(ring: PolyRing, prefix: str = "_t", taken=()) -> str:
+    """The first of prefix0, prefix1, ... that is neither a variable of
+    ring nor in taken."""
     i = 0
-    while f"_t{i}" in ring.variables:
+    while f"{prefix}{i}" in ring.variables or f"{prefix}{i}" in taken:
         i += 1
-    return f"_t{i}"
+    return f"{prefix}{i}"
 
 
 def meet(ideals) -> "Ideal":
@@ -297,18 +299,13 @@ def ring_map_kernel(source_ring: PolyRing, target_ring: PolyRing, images) -> Ide
                 f"source and target share the variable {v} with a "
                 "non-identity image; rename one side"
             )
-    taken = source_names | set(target_ring.variables)
+    taken = set(source_names)
     joint_target_names = []
-    counter = 0
     for t in target_ring.variables:
         if t in source_names:
-            while f"_s{counter}" in taken:
-                counter += 1
-            name = f"_s{counter}"
-            taken.add(name)
-            joint_target_names.append(name)
-        else:
-            joint_target_names.append(t)
+            t = _aux_name(target_ring, "_s", taken)
+            taken.add(t)
+        joint_target_names.append(t)
     m = target_ring.nvars
     joint = PolyRing(
         source_ring.field,

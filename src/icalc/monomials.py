@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from operator import add, le, mul, neg, sub
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, RingSpecError
 from .records import Record
 
 Monomial = tuple  # exponent tuple; alias for readability in signatures
@@ -90,9 +90,9 @@ class MonomialOrder(Record):
 
     def __init__(self, kind: str, front: int = 0):
         if kind not in (LEX, GREVLEX, BLOCK):
-            raise ValueError(f"unknown order kind: {kind!r}")
+            raise RingSpecError(f"unknown order kind: {kind!r}")
         if kind == BLOCK and front < 0:
-            raise ValueError("front block size must be non-negative")
+            raise RingSpecError("front block size must be non-negative")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "front", front)
         key = _lex_lead if kind == LEX else _grevlex_lead if kind == GREVLEX else _block_lead(front)

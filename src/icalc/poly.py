@@ -288,8 +288,12 @@ def frobenius_power(f: Poly, e: int) -> Poly:
     """
     if not isinstance(e, int) or e < 0:
         raise ValueError("Frobenius exponent must be a non-negative integer")
-    if e == 0:
+    if e == 0 or f.is_constant():
         return f
+    # p >= 2, so e >= 31 gives q >= 2^31 for every non-constant f; the
+    # check comes before q, whose digits grow with e.
+    if e >= 31:
+        raise CapacityError(f"exponent beyond 2^31 in Frobenius power p^{e} of {f}")
     q = f.ring.field.p ** e
     terms = []
     for c, m in f.terms:

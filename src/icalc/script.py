@@ -25,11 +25,11 @@ from __future__ import annotations
 import json
 
 from . import __version__
-from .errors import IcalcError, NeedsPrimesError, ParseError, ScriptError
+from .errors import IcalcError, NeedsPrimesError, ParseError, RingSpecError, ScriptError
 from .field import PrimeField
 from .groebner import normal_form
 from .ideals import Ideal, ring_map_kernel
-from .monomials import MonomialOrder
+from .monomials import GREVLEX, LEX, MonomialOrder
 from .poly import PolyRing, parse_poly, tokenize
 from .records import Record
 from .rings import is_regular_sequence, is_system_of_parameters, make_ring
@@ -45,9 +45,15 @@ from .closure import (
     theorem_contain_verdict,
 )
 
-# The argument slots of each check and report kind, in order: 'expr' an
-# ideal expression, 'poly' a polynomial text, 'mode' tight or ne, and a
-# trailing 'unmixed' an optional flag.
+# The argument slots of each named form, check and report kind, in
+# order: 'expr' an ideal expression, 'poly' a polynomial text, 'int' an
+# integer, 'mode' tight or ne, and a trailing 'unmixed' an optional flag.
+FORM_ARGS = {
+    "meet": ("expr", "expr"),
+    "colon": ("expr", "expr"),
+    "bracket": ("expr", "int"),
+    "dc": ("expr", "mode"),
+}
 CHECK_ARGS = {
     "equal": ("expr", "expr"),
     "member": ("poly", "expr"),
@@ -79,28 +85,10 @@ class EName(Record):
     __slots__ = ("name",)
 
 
-class ESum(Record):
-    __slots__ = ("left", "right")
-
-
-class EProd(Record):
-    __slots__ = ("left", "right")
-
-
-class EMeet(Record):
-    __slots__ = ("left", "right")
-
-
-class EColon(Record):
-    __slots__ = ("left", "right")
-
-
-class EBracket(Record):
-    __slots__ = ("arg", "e")
-
-
-class EDc(Record):
-    __slots__ = ("arg", "mode")
+class EForm(Record):
+    # kind is '+' or '*' with two operands, or a FORM_ARGS name with its
+    # slots' values
+    __slots__ = ("kind", "args")
 
 
 class EKer(Record):
@@ -200,14 +188,18 @@ class _LineParser:
         seen.append(name)
         return name
 
+    def listed(self, read):
+        """One or more items, each read by read(), separated by commas."""
+        items = [read()]
+        while self.peek() == ("op", ","):
+            self.pos += 1
+            items.append(read())
+        return tuple(items)
+
     def expect_names(self, what, noun):
         """A comma-separated list of distinct names."""
         names = []
-        self.expect_fresh(names, what, noun)
-        while self.peek() == ("op", ","):
-            self.pos += 1
-            self.expect_fresh(names, what, noun)
-        return tuple(names)
+        return self.listed(lambda: self.expect_fresh(names, what, noun))
 
     def expect_keyword(self, word):
         if self.peek() != ("name", word):
@@ -240,6 +232,32 @@ class _LineParser:
             self.error(what)
         return _toks_text(self.toks[start:self.pos])
 
+    def call_args(self, slots):
+        """The parenthesized arguments of a form, check or report, read
+        slot by slot; returns the values and the flags given."""
+        self.expect_op("(")
+        args = []
+        flags = ()
+        for i, slot in enumerate(slots):
+            if slot == "unmixed":
+                if self.peek() == ("op", ","):
+                    self.pos += 1
+                    self.expect_keyword("unmixed")
+                    flags = ("unmixed",)
+                continue
+            if i:
+                self.expect_op(",")
+            if slot == "expr":
+                args.append(self.parse_expr())
+            elif slot == "poly":
+                args.append(("poly", self.poly_text()))
+            elif slot == "int":
+                args.append(self.expect_int())
+            else:
+                args.append(self.expect_mode())
+        self.expect_op(")")
+        return tuple(args), flags
+
     def parse_expr(self):
         self.depth += 1
         if self.depth > MAX_NESTING:
@@ -247,7 +265,7 @@ class _LineParser:
         node = self.parse_prod()
         while self.peek() == ("op", "+"):
             self.pos += 1
-            node = ESum(node, self.parse_prod())
+            node = EForm("+", (node, self.parse_prod()))
         self.depth -= 1
         return node
 
@@ -255,7 +273,7 @@ class _LineParser:
         node = self.parse_atom()
         while self.peek() == ("op", "*"):
             self.pos += 1
-            node = EProd(node, self.parse_atom())
+            node = EForm("*", (node, self.parse_atom()))
         return node
 
     def parse_atom(self):
@@ -265,52 +283,27 @@ class _LineParser:
         if value == "ideal":
             self.pos += 1
             self.expect_op("(")
-            gens = [self.poly_text()]
-            while self.peek() == ("op", ","):
-                self.pos += 1
-                gens.append(self.poly_text())
+            gens = self.listed(self.poly_text)
             self.expect_op(")")
-            return EIdeal(tuple(gens))
-        if value in ("meet", "colon"):
+            return EIdeal(gens)
+        if value in FORM_ARGS:
             self.pos += 1
-            self.expect_op("(")
-            a = self.parse_expr()
-            self.expect_op(",")
-            b = self.parse_expr()
-            self.expect_op(")")
-            return EMeet(a, b) if value == "meet" else EColon(a, b)
-        if value == "bracket":
-            self.pos += 1
-            self.expect_op("(")
-            a = self.parse_expr()
-            self.expect_op(",")
-            e = self.expect_int()
-            self.expect_op(")")
-            return EBracket(a, e)
-        if value == "dc":
-            self.pos += 1
-            self.expect_op("(")
-            a = self.parse_expr()
-            self.expect_op(",")
-            mode = self.expect_mode()
-            self.expect_op(")")
-            return EDc(a, mode)
+            return EForm(value, self.call_args(FORM_ARGS[value])[0])
         if value == "ker":
             self.pos += 1
             self.expect_op("(")
             targets = self.expect_names("a target variable", "target variable")
             self.expect_op(";")
-            sources, images = [], []
-            while True:
+            sources = []
+
+            def image():
                 src = self.expect_fresh(sources, "a source variable", "source variable")
                 self.expect_op("->")
-                images.append((src, self.poly_text("an image polynomial")))
-                if self.peek() == ("op", ","):
-                    self.pos += 1
-                    continue
-                break
+                return (src, self.poly_text("an image polynomial"))
+
+            images = self.listed(image)
             self.expect_op(")")
-            return EKer(targets, tuple(images))
+            return EKer(targets, images)
         if value in self.rings:
             self.fail(f"{value!r} names the ring, not an ideal")
         self.pos += 1
@@ -366,17 +359,16 @@ def _check_fresh(name, seen, line):
 
 def _check_bound(expr, seen, line, depth=1):
     """Rejects unbound names, and trees deeper than MAX_NESTING, which
-    long '+' or '*' chains build without nesting parentheses."""
+    long '+' or '*' chains build without nesting parentheses.  Slot values
+    other than expressions pass."""
     if depth > MAX_NESTING:
         raise _too_deep(line)
     if isinstance(expr, EName):
         if expr.name not in seen:
             raise ScriptError(f"line {line}: unknown identifier {expr.name!r}")
-    elif isinstance(expr, (ESum, EProd, EMeet, EColon)):
-        _check_bound(expr.left, seen, line, depth + 1)
-        _check_bound(expr.right, seen, line, depth + 1)
-    elif isinstance(expr, (EBracket, EDc)):
-        _check_bound(expr.arg, seen, line, depth + 1)
+    elif isinstance(expr, EForm):
+        for arg in expr.args:
+            _check_bound(arg, seen, line, depth + 1)
 
 
 def _parse_ring(lp, seen):
@@ -402,14 +394,10 @@ def _parse_ring(lp, seen):
             lp.pos += 1
             lp.expect_keyword("primes")
             lp.expect_op("[")
-            prime_list = [lp.parse_expr()]
-            while lp.peek() == ("op", ","):
-                lp.pos += 1
-                prime_list.append(lp.parse_expr())
+            primes = lp.listed(lp.parse_expr)
             lp.expect_op("]")
-            for e in prime_list:
+            for e in primes:
                 _check_bound(e, seen, lp.line)
-            primes = tuple(prime_list)
     return RingDecl(name, p, variables, defining, primes, lp.line)
 
 
@@ -429,31 +417,12 @@ def _parse_call(lp, seen, head):
     if kind not in table:
         lp.pos -= 1
         lp.error("one of " + ", ".join(table))
-    lp.expect_op("(")
-    args = []
-    flags = ()
-    for i, slot in enumerate(table[kind]):
-        if slot == "unmixed":
-            if lp.peek() == ("op", ","):
-                lp.pos += 1
-                lp.expect_keyword("unmixed")
-                flags = ("unmixed",)
-            continue
-        if i:
-            lp.expect_op(",")
-        if slot == "expr":
-            args.append(lp.parse_expr())
-        elif slot == "poly":
-            args.append(("poly", lp.poly_text()))
-        else:
-            args.append(lp.expect_mode())
-    lp.expect_op(")")
+    args, flags = lp.call_args(table[kind])
     for arg in args:
-        if not isinstance(arg, (tuple, str)):
-            _check_bound(arg, seen, lp.line)
+        _check_bound(arg, seen, lp.line)
     if head == "check":
-        return CheckStmt(kind, tuple(args), lp.line)
-    return ReportStmt(kind, tuple(args), flags, lp.line)
+        return CheckStmt(kind, args, lp.line)
+    return ReportStmt(kind, args, flags, lp.line)
 
 
 # ---------------------------------------------------------------- printing
@@ -463,22 +432,25 @@ def _expr_text(expr) -> str:
         return "ideal(%s)" % ", ".join(expr.gens)
     if isinstance(expr, EName):
         return expr.name
-    if isinstance(expr, ESum):
-        return f"{_expr_text(expr.left)} + {_expr_text(expr.right)}"
-    if isinstance(expr, EProd):
-        return f"{_expr_text(expr.left)}*{_expr_text(expr.right)}"
-    if isinstance(expr, EMeet):
-        return f"meet({_expr_text(expr.left)}, {_expr_text(expr.right)})"
-    if isinstance(expr, EColon):
-        return f"colon({_expr_text(expr.left)}, {_expr_text(expr.right)})"
-    if isinstance(expr, EBracket):
-        return f"bracket({_expr_text(expr.arg)}, {expr.e})"
-    if isinstance(expr, EDc):
-        return f"dc({_expr_text(expr.arg)}, {expr.mode})"
+    if isinstance(expr, EForm):
+        if expr.kind in FORM_ARGS:
+            return f"{expr.kind}({_args_text(expr.args)})"
+        infix = " + " if expr.kind == "+" else expr.kind
+        return infix.join(_expr_text(arg) for arg in expr.args)
     if isinstance(expr, EKer):
         pieces = ", ".join(f"{src} -> {text}" for src, text in expr.images)
         return "ker(%s; %s)" % (", ".join(expr.targets), pieces)
     raise TypeError(f"not an expression: {expr!r}")
+
+
+def _args_text(args) -> str:
+    """Slot values as written: expressions, polynomial texts, ints, modes."""
+    return ", ".join(
+        arg[1] if isinstance(arg, tuple)
+        else str(arg) if isinstance(arg, (str, int))
+        else _expr_text(arg)
+        for arg in args
+    )
 
 
 def _stmt_text(stmt) -> str:
@@ -491,21 +463,14 @@ def _stmt_text(stmt) -> str:
         if stmt.defining is not None:
             head += " / " + _expr_text(stmt.defining)
             if stmt.primes:
-                head += " with primes [%s]" % ", ".join(
-                    _expr_text(e) for e in stmt.primes
-                )
+                head += " with primes [%s]" % _args_text(stmt.primes)
         return head
     if isinstance(stmt, LetStmt):
         return f"let {stmt.name} = {_expr_text(stmt.expr)}"
     if isinstance(stmt, (CheckStmt, ReportStmt)):
         head = "check" if isinstance(stmt, CheckStmt) else "report"
-        parts = [
-            arg if isinstance(arg, str)
-            else arg[1] if isinstance(arg, tuple)
-            else _expr_text(arg)
-            for arg in stmt.args + getattr(stmt, "flags", ())
-        ]
-        return "%s %s(%s)" % (head, stmt.kind, ", ".join(parts))
+        args = stmt.args + getattr(stmt, "flags", ())
+        return "%s %s(%s)" % (head, stmt.kind, _args_text(args))
     raise TypeError(f"not a statement: {stmt!r}")
 
 
@@ -662,11 +627,11 @@ class Evaluator:
             self.bindings[stmt.name] = self._eval(stmt.expr)
         elif isinstance(stmt, CheckStmt):
             self._require_ring(stmt)
-            passed, detail = self._run_check(stmt, self._args(stmt))
+            passed, detail = self._run_check(stmt, self._args(stmt.args))
             self.checks.append((_stmt_text(stmt), passed, detail))
         else:
             self._require_ring(stmt)
-            payload = self._run_report(stmt, self._args(stmt))
+            payload = self._run_report(stmt, self._args(stmt.args))
             self.entries.append((_stmt_text(stmt), stmt.kind, payload))
 
     def _require_ring(self, stmt):
@@ -676,11 +641,10 @@ class Evaluator:
     def _declare_ring(self, stmt):
         if self.ring is not None:
             self.fail(stmt, "only one ring declaration per script")
-        if self.options.order == "lex":
-            order = MonomialOrder.lex()
-        else:
-            order = MonomialOrder.grevlex()
-        self.ring = PolyRing(PrimeField(stmt.p), stmt.variables, order)
+        order = self.options.order
+        if order not in (LEX, GREVLEX):
+            raise RingSpecError(f"unknown order {order!r}; expected 'lex' or 'grevlex'")
+        self.ring = PolyRing(PrimeField(stmt.p), stmt.variables, MonomialOrder(order))
         self.defining = Ideal(self.ring, ())
         if stmt.defining is not None:
             self.defining = self._eval(stmt.defining).handle
@@ -689,13 +653,14 @@ class Evaluator:
             primes = tuple(self._eval(e).handle for e in stmt.primes)
         self.qring = make_ring(self.ring, self.defining, primes=primes)
 
-    def _args(self, stmt):
-        """Each argument slot's value: a ScriptIdeal, a Poly or the mode."""
+    def _args(self, args):
+        """Each slot's value, left to right: a ScriptIdeal, a Poly, an int
+        or the mode."""
         return [
-            arg if isinstance(arg, str)
+            arg if isinstance(arg, (str, int))
             else parse_poly(self.ring, arg[1]) if isinstance(arg, tuple)
             else self._eval(arg)
-            for arg in stmt.args
+            for arg in args
         ]
 
     def _plain(self, value: ScriptIdeal) -> Ideal:
@@ -714,31 +679,24 @@ class Evaluator:
             )
         if isinstance(expr, EName):
             return self.bindings[expr.name]
-        if isinstance(expr, ESum):
-            a, b = self._eval(expr.left), self._eval(expr.right)
-            return ScriptIdeal(raw=a.raw + b.raw, handle=a.handle + b.handle)
-        if isinstance(expr, EProd):
-            a, b = self._eval(expr.left), self._eval(expr.right)
-            raw = tuple(f * g for f in a.raw for g in b.raw)
-            return ScriptIdeal(
-                raw=raw, handle=Ideal(self.ring, raw) + self.defining
-            )
-        if isinstance(expr, EMeet):
-            a, b = self._eval(expr.left), self._eval(expr.right)
-            return self._derived(a.handle.intersect(b.handle))
-        if isinstance(expr, EColon):
-            a, b = self._eval(expr.left), self._eval(expr.right)
-            return self._derived(a.handle.colon(b.handle))
-        if isinstance(expr, EBracket):
-            a = self._eval(expr.arg)
-            return self._derived(self._plain(a).bracket_power(expr.e) + self.defining)
-        if isinstance(expr, EDc):
-            if self.qring is None:
+        if isinstance(expr, EForm):
+            if expr.kind == "dc" and self.qring is None:
                 raise NeedsPrimesError("dc(...) cannot appear in the ring declaration")
-            a = self._eval(expr.arg)
-            return self._derived(
-                decomposition_closure(self.qring, self._plain(a), expr.mode)
-            )
+            a, b = self._args(expr.args)
+            if expr.kind == "+":
+                return ScriptIdeal(raw=a.raw + b.raw, handle=a.handle + b.handle)
+            if expr.kind == "*":
+                raw = tuple(f * g for f in a.raw for g in b.raw)
+                return ScriptIdeal(
+                    raw=raw, handle=Ideal(self.ring, raw) + self.defining
+                )
+            if expr.kind == "meet":
+                return self._derived(a.handle.intersect(b.handle))
+            if expr.kind == "colon":
+                return self._derived(a.handle.colon(b.handle))
+            if expr.kind == "bracket":
+                return self._derived(self._plain(a).bracket_power(b) + self.defining)
+            return self._derived(decomposition_closure(self.qring, self._plain(a), b))
         if isinstance(expr, EKer):
             target = PolyRing(
                 self.ring.field, expr.targets, MonomialOrder.grevlex()

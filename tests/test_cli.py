@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -137,6 +138,16 @@ def test_run_json_to_file_keeps_text_on_stdout(tmp_path, capsys):
     assert "ok   check sop(I)" in capsys.readouterr().out
     data = json.loads(out_path.read_text(encoding="utf-8"))
     assert data["checks"][0]["label"] == "check sop(I)"
+
+
+def test_run_huge_bracket_exponent_exits_three_at_once(tmp_path, capsys):
+    path = write(tmp_path, "ring R = poly(p=3; X, Y)\nlet B = bracket(ideal(X), 100000000)\n")
+    start = time.perf_counter()
+    assert main(["run", path]) == EXIT_EVALUATION
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "line 2" in err and "exponent beyond 2^31" in err
 
 
 def test_run_option_passthrough(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from conftest import ii, surface_avatar
 
 from icalc import Ideal, MonomialOrder, PolyRing, PrimeField, ring_map_kernel
-from icalc.ideals import meet
+from icalc.ideals import _aux_name, meet
 from icalc.errors import (
     RingMismatchError,
     UnknownVariableError,
@@ -188,6 +188,13 @@ def test_ring_map_kernel_collisions(ring):
         {"X": target.parse("X"), "Y": target.parse("U"), "Z": target.parse("U")},
     )
     assert kernel == ii(ring, "Y - Z")
+
+
+def test_aux_names_are_the_first_free_ones():
+    ring = PolyRing(PrimeField(2), ("_t0", "_s0", "X"), MonomialOrder.grevlex())
+    assert _aux_name(ring) == "_t1"
+    assert _aux_name(ring, "_s") == "_s1"
+    assert _aux_name(ring, "_s", {"_s1", "_s3"}) == "_s2"
 
 
 def test_ring_map_kernel_validation(ring):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from icalc.errors import DimensionMismatchError
+from icalc.errors import DimensionMismatchError, RingSpecError
 from icalc.monomials import (
     MonomialOrder,
     mono_compare,
@@ -16,6 +16,13 @@ from icalc.monomials import (
     mono_sub,
     mono_support,
 )
+
+
+def test_bad_orders_raise_ring_spec_errors():
+    with pytest.raises(RingSpecError, match="unknown order kind: 'Lex'"):
+        MonomialOrder("Lex")
+    with pytest.raises(RingSpecError, match="front block size must be non-negative"):
+        MonomialOrder.block_elimination(-1)
 
 
 def test_exponent_arithmetic():

@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
 
 from icalc.errors import (
+    CapacityError,
     IcalcError,
     ParseError,
     RingMismatchError,
@@ -83,6 +85,21 @@ def test_frobenius_power(ring2, ring3):
     g = u + ring3.constant(2) * v
     assert frobenius_power(g, 1) == g**3
     assert frobenius_power(g, 2) == g**9
+
+
+def test_frobenius_power_refuses_a_huge_exponent_before_forming_q(ring2):
+    x, y, _ = ring2.gens()
+    start = time.perf_counter()
+    one = ring2.constant(1)
+    assert frobenius_power(one, 10**9) is one  # Frobenius fixes F_p
+    assert frobenius_power(ring2.zero(), 10**9).is_zero
+    with pytest.raises(CapacityError, match=r"beyond 2\^31 in Frobenius power p\^1000000000 of X \+ Y$"):
+        frobenius_power(x + y, 10**9)
+    assert time.perf_counter() - start < 1
+    # the edge in characteristic 2: 2^30 fits, 2^31 does not
+    assert frobenius_power(x, 30).terms[0][1] == (2**30, 0, 0)
+    with pytest.raises(CapacityError):
+        frobenius_power(x, 31)
 
 
 def test_degree_and_predicates(ring2):

@@ -24,9 +24,8 @@ from icalc.poly import PolyRing
 from icalc.records import Record
 from icalc.script import (
     CheckStmt,
+    EForm,
     EName,
-    EProd,
-    ESum,
     LetStmt,
     ReportDocument,
     ReportStmt,
@@ -54,12 +53,7 @@ FIELDS = {
     "ColonCaptureReport": ("sop", "rows", "notes"),
     "EIdeal": ("gens",),
     "EName": ("name",),
-    "ESum": ("left", "right"),
-    "EProd": ("left", "right"),
-    "EMeet": ("left", "right"),
-    "EColon": ("left", "right"),
-    "EBracket": ("arg", "e"),
-    "EDc": ("arg", "mode"),
+    "EForm": ("kind", "args"),
     "EKer": ("targets", "images"),
     "RingDecl": ("name", "p", "variables", "defining", "primes", "line"),
     "LetStmt": ("name", "expr", "line"),
@@ -74,14 +68,30 @@ FIELDS = {
 HOT = {"PrimeField", "MonomialOrder", "PolyRing"}
 RECORDS = {cls.__name__: cls for cls in Record.__subclasses__()}
 GENERIC = sorted(set(RECORDS) - HOT)
+# the expression nodes that EForm stands for, by the kind that tags them
+FORMS = {"ESum": "+", "EProd": "*", "EMeet": "meet", "EColon": "colon",
+         "EBracket": "bracket", "EDc": "dc"}
 
 
 def test_every_record_keeps_its_name_and_fields_in_order():
     assert {name: cls._fields for name, cls in RECORDS.items()} == FIELDS
 
 
-@pytest.mark.parametrize("name", GENERIC)
+def _form_is_structural(kind):
+    values = (0, 1)
+    a, b = EForm(kind, values), EForm(args=values, kind=kind)
+    assert a is not b and a == b and hash(a) == hash(b)
+    for i in range(len(values)):
+        assert EForm(kind, values[:i] + ("other",) + values[i + 1:]) != a
+    for other in set(FORMS.values()) - {kind}:
+        assert EForm(other, values) != a
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC + list(FORMS)))
 def test_equality_and_hash_are_structural_per_class(name):
+    if name in FORMS:
+        _form_is_structural(FORMS[name])
+        return
     cls = RECORDS[name]
     values = tuple(range(len(cls._fields)))
     a, b = cls(*values), cls(**dict(zip(cls._fields, values)))
@@ -111,8 +121,8 @@ def test_hot_records_compare_by_value():
 
 def test_sum_and_product_of_the_same_operands_differ():
     a, b = EName("A"), EName("B")
-    assert ESum(a, b) != EProd(a, b)
-    assert len({ESum(a, b), EProd(a, b), ESum(a, b)}) == 2
+    assert EForm("+", (a, b)) != EForm("*", (a, b))
+    assert len({EForm("+", (a, b)), EForm("*", (a, b)), EForm("+", (a, b))}) == 2
 
 
 def test_statements_compare_without_their_line():
@@ -177,7 +187,9 @@ def test_assignment_and_deletion_raise():
 
 
 def test_repr_names_the_class_and_its_fields():
-    assert repr(ESum(EName("A"), EName("B"))) == "ESum(left=EName(name='A'), right=EName(name='B'))"
+    assert repr(EForm("+", (EName("A"), EName("B")))) == (
+        "EForm(kind='+', args=(EName(name='A'), EName(name='B')))"
+    )
     assert repr(RunOptions()) == "RunOptions(order='grevlex', emax=5, seed=0)"
     assert repr(MonomialOrder.lex()) == "MonomialOrder(kind='lex', front=0)"
     ring = PolyRing(PrimeField(2), ("X",), MonomialOrder.grevlex())

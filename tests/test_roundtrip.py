@@ -15,15 +15,10 @@ from icalc.script import (
     CHECK_KINDS,
     REPORT_KINDS,
     CheckStmt,
-    EBracket,
-    EColon,
-    EDc,
+    EForm,
     EIdeal,
     EKer,
-    EMeet,
     EName,
-    EProd,
-    ESum,
     LetStmt,
     ReportStmt,
     RingDecl,
@@ -74,14 +69,14 @@ def _poly_text(rng, names):
 def _expr(rng, names, depth):
     node = _prod(rng, names, depth)
     while rng.random() < 0.3:
-        node = ESum(node, _prod(rng, names, depth))
+        node = EForm("+", (node, _prod(rng, names, depth)))
     return node
 
 
 def _prod(rng, names, depth):
     node = _atom(rng, names, depth)
     while rng.random() < 0.3:
-        node = EProd(node, _atom(rng, names, depth))
+        node = EForm("*", (node, _atom(rng, names, depth)))
     return node
 
 
@@ -99,11 +94,11 @@ def _atom(rng, names, depth):
         sources = rng.sample(VARIABLES, rng.randint(1, 3))
         return EKer(targets, tuple((s, _poly_text(rng, targets)) for s in sources))
     if form == "bracket":
-        return EBracket(_expr(rng, names, depth - 1), rng.randint(0, 12))
+        return EForm("bracket", (_expr(rng, names, depth - 1), rng.randint(0, 12)))
     if form == "dc":
-        return EDc(_expr(rng, names, depth - 1), rng.choice(("tight", "ne")))
+        return EForm("dc", (_expr(rng, names, depth - 1), rng.choice(("tight", "ne"))))
     pair = (_expr(rng, names, depth - 1), _expr(rng, names, depth - 1))
-    return EMeet(*pair) if form == "meet" else EColon(*pair)
+    return EForm(form, pair)
 
 
 def _args(rng, names, slots):
@@ -163,13 +158,16 @@ def test_the_fuzz_covers_every_kind_and_slot():
             stack += [getattr(stmt, "expr", None), getattr(stmt, "defining", None)]
             while stack:
                 node = stack.pop()
-                if node is not None:
+                if isinstance(node, EForm):
+                    seen.add(("form", node.kind))
+                    # a form's ideal operands; its int and mode slots are not statement slots
+                    stack += [arg for arg in node.args if not isinstance(arg, (int, str))]
+                elif node is not None:
                     seen.add(type(node).__name__)
-                    stack += [getattr(node, name, None) for name in ("left", "right", "arg")]
     assert {("unmixed", True), ("unmixed", False)} <= seen
     assert {("defining", True), ("defining", False)} <= seen
-    assert {"EIdeal", "EName", "ESum", "EProd", "EMeet", "EColon"} <= seen
-    assert {"EBracket", "EDc", "EKer", "tuple", "str"} <= seen
+    assert {"EIdeal", "EName", "EKer", "tuple", "str"} <= seen
+    assert {("form", kind) for kind in ("+", "*", "meet", "colon", "bracket", "dc")} <= seen
 
 
 def test_print_then_parse_gives_the_same_tree():

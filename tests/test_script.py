@@ -8,17 +8,14 @@ from icalc import (
     print_script,
     run_script,
 )
-from icalc.errors import ScriptError
+from icalc.errors import IcalcError, ScriptError
 from icalc.scenarios import SCENARIOS, run_scenario, scenario_script
 from icalc.script import (
     CheckStmt,
-    EBracket,
-    EDc,
+    EForm,
     EIdeal,
     EKer,
-    EMeet,
     EName,
-    ESum,
     MAX_NESTING,
     LetStmt,
     RingDecl,
@@ -63,9 +60,10 @@ def test_parse_nested_expression_tree():
     stmt = parse_script(src).statements[-1]
     assert isinstance(stmt, CheckStmt)
     left, right = stmt.args
-    assert left == ESum(EName("I"), EMeet(EName("P"), EName("Q")))
-    assert right == EMeet(
-        ESum(EName("I"), EName("P")), ESum(EName("I"), EName("Q"))
+    assert left == EForm("+", (EName("I"), EForm("meet", (EName("P"), EName("Q")))))
+    assert right == EForm(
+        "meet",
+        (EForm("+", (EName("I"), EName("P"))), EForm("+", (EName("I"), EName("Q")))),
     )
 
 
@@ -80,8 +78,8 @@ def test_parse_bracket_dc_and_ker():
         )
     )
     _, _, b, d, k = parse_script(src).statements
-    assert b.expr == EBracket(EName("I"), 2)
-    assert d.expr == EDc(EName("I"), "ne")
+    assert b.expr == EForm("bracket", (EName("I"), 2))
+    assert d.expr == EForm("dc", (EName("I"), "ne"))
     assert k.expr == EKer(
         ("U", "T"), (("X", "U^2"), ("Y", "U^3"), ("Z", "U*T"))
     )
@@ -307,6 +305,15 @@ def test_lex_option_changes_the_printed_basis():
     assert "Y^3 + X" in grev.checks[0][2]
     assert "X + Y^3" in lexi.checks[0][2]
     assert grev.order == "grevlex" and lexi.order == "lex"
+
+
+@pytest.mark.parametrize("order", ["Lex", "GREVLEX", "block", "degrevlex"])
+def test_unknown_run_order_fails_on_the_ring_line(order):
+    script = parse_script(RING_LINE + "\nlet I = ideal(Y)")
+    with pytest.raises(IcalcError) as err:
+        run_script(script, RunOptions(order=order))
+    assert str(err.value).startswith("line 1: ring R = poly(p=2; X, Y, Z)")
+    assert f"unknown order {order!r}" in str(err.value)
 
 
 def test_report_document_shape():
