@@ -17,6 +17,11 @@ Determinism contract, relied on by every golden test downstream:
   grows, and a memo of each monomial's first dividing row; rows are only
   appended, so a memoized first divisor stays first and the divisor
   order is the same as a fresh scan of the list;
+* the same rows keep, for each monomial m they have reduced, the tail of
+  m's first dividing row shifted by m - lm, built on m's first reduction
+  and read on every later one; it can never be stale, since m's first
+  divisor never changes once found, and a monomial found irreducible
+  gets its product only when a later row divides it;
 * the returned basis is the reduced one (monic, tails reduced, minimal
   leading monomials) sorted by leading monomial, largest first, which is
   canonical for the pair (ideal, order); every tail reduces against one
@@ -29,9 +34,9 @@ are keyed ``(ring, generators)``; the ideal layer keys its results by a
 leading tag, ``("intersect", ring, A.generators, B.generators)``,
 ``("colon", ring, A.generators, divisor)`` (an ideal divisor by its
 generators) and ``("radical", ring, A.generators, f)``, and stores
-generator tuples and bools.  There is no second memo: emptying this dict
-makes every later call cold.  Each fill is idempotent, so racing writers
-agree.
+generator tuples and bools.  There is no second process-wide memo:
+emptying this dict makes every later call cold.  Each fill is
+idempotent, so racing writers agree.
 """
 
 from __future__ import annotations
@@ -48,22 +53,26 @@ _GB_CACHE = {}
 
 
 class BasisRows:
-    """A reducer list that keeps its division rows and first-divisor memo.
+    """A reducer list that keeps its division rows and two reduction memos.
 
     Each appended polynomial adds the row (lm, inverse lc, tail terms);
     zero polynomials add none.  ``first`` maps every monomial looked up
     so far to its first dividing row, or to the number of rows it was
-    found irreducible against.  Rows are only ever appended, so a first
-    divisor stays first and an irreducible monomial need only be checked
-    against the rows added since.
+    found irreducible against.  ``products`` maps every monomial m
+    reduced so far to (inverse lc, tail pairs) of that row, the tail
+    shifted by m - lm as (coefficient, monomial) pairs.  Rows are only
+    ever appended, so a first divisor stays first, its product never
+    goes stale, and an irreducible monomial need only be checked against
+    the rows added since.
     """
 
-    __slots__ = ("polys", "rows", "first")
+    __slots__ = ("polys", "rows", "first", "products")
 
     def __init__(self, polys=()):
         self.polys = []
         self.rows = []
         self.first = {}
+        self.products = {}
         for g in polys:
             self.append(g)
 
@@ -100,6 +109,7 @@ def normal_form(f: Poly, reducers) -> Poly:
     if not rows:
         return f
     first = reducers.first
+    products = reducers.products
     n = len(rows)
     ring = f.ring
     p = ring.field.p
@@ -113,9 +123,11 @@ def normal_form(f: Poly, reducers) -> Poly:
         c = work.pop(m, 0)
         if not c:
             continue
-        row = first.get(m, 0)
-        if row.__class__ is int:
-            for row in islice(rows, row, None):
+        product = products.get(m)
+        if product is None:
+            # m has no divisor yet: scan the rows added since it was
+            # last found irreducible.
+            for row in islice(rows, first.get(m, 0), None):
                 if all(map(le, row[0], m)):
                     break
             else:
@@ -123,12 +135,16 @@ def normal_form(f: Poly, reducers) -> Poly:
                 remainder[m] = c
                 continue
             first[m] = row
-        lm, inv_lc, tail = row
+            lm, inv_lc, tail = row
+            shift = tuple(map(sub, m, lm))
+            product = products[m] = (
+                inv_lc,
+                tuple([(cg, tuple(map(add, mg, shift))) for cg, mg in tail]),
+            )
+        inv_lc, tail = product
         factor = c * inv_lc % p
-        shift = tuple(map(sub, m, lm))
         # The lead cancels m exactly; only the tail lands in work.
-        for cg, mg in tail:
-            mm = tuple(map(add, mg, shift))
+        for cg, mm in tail:
             v = work.get(mm)
             if v is None:
                 work[mm] = -factor * cg % p

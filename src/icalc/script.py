@@ -25,7 +25,14 @@ from __future__ import annotations
 import json
 
 from . import __version__
-from .errors import IcalcError, NeedsPrimesError, ParseError, RingSpecError, ScriptError
+from .errors import (
+    IcalcError,
+    NeedsPrimesError,
+    ParseError,
+    PreconditionError,
+    RingSpecError,
+    ScriptError,
+)
 from .field import PrimeField
 from .groebner import normal_form
 from .ideals import Ideal, ring_map_kernel
@@ -588,6 +595,12 @@ class Evaluator:
     """Single-pass statement interpreter; one per script run."""
 
     def __init__(self, options: RunOptions):
+        # Checked once, before any statement runs: a script need not
+        # declare a ring or report frobenius to be run with the options.
+        if options.order not in (LEX, GREVLEX):
+            raise RingSpecError(f"unknown order {options.order!r}; expected 'lex' or 'grevlex'")
+        if not isinstance(options.emax, int) or options.emax < 0:
+            raise PreconditionError(f"need 0 <= e_min <= e_max; emax is {options.emax!r}")
         self.options = options
         self.ring = None
         self.qring = None
@@ -641,10 +654,7 @@ class Evaluator:
     def _declare_ring(self, stmt):
         if self.ring is not None:
             self.fail(stmt, "only one ring declaration per script")
-        order = self.options.order
-        if order not in (LEX, GREVLEX):
-            raise RingSpecError(f"unknown order {order!r}; expected 'lex' or 'grevlex'")
-        self.ring = PolyRing(PrimeField(stmt.p), stmt.variables, MonomialOrder(order))
+        self.ring = PolyRing(PrimeField(stmt.p), stmt.variables, MonomialOrder(self.options.order))
         self.defining = Ideal(self.ring, ())
         if stmt.defining is not None:
             self.defining = self._eval(stmt.defining).handle

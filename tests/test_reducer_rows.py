@@ -1,6 +1,7 @@
-"""Reducer rows kept with the basis, and the first-divisor memo.
+"""Reducer rows kept with the basis, the first-divisor memo and the
+shifted-tail products.
 
-Inside _buchberger every normal form reads the rows and memo the basis
+Inside _buchberger every normal form reads the rows and memos the basis
 has built up so far; a plain reducer list gets fresh ones.  Both must
 give the remainder that dividing by the first row in list order gives.
 """
@@ -12,7 +13,7 @@ import pytest
 from conftest import ii, surface_avatar
 from icalc import groebner
 from icalc.field import PrimeField
-from icalc.groebner import BasisRows, is_groebner_basis, normal_form
+from icalc.groebner import BasisRows, groebner_basis, is_groebner_basis, normal_form, s_polynomial
 from icalc.monomials import MonomialOrder
 from icalc.poly import PolyRing
 from icalc.properties import _random_polys, _random_ring
@@ -74,9 +75,12 @@ def test_stale_memo_sees_an_appended_row(ring):
     assert normal_form(x2, rows) == ring.parse("X^2 + Z")
     # X^2 was found irreducible against the one row there was
     assert rows.first[(2, 0, 0)] == 1
+    assert (2, 0, 0) not in rows.products
     rows.append(ring.parse("X - Z"))
     assert normal_form(x2, rows) == ring.parse("Z^2 + Z")
     assert rows.first[(2, 0, 0)] is rows.rows[1]
+    # X^2 = X*(X - Z) + X*Z: the new row's tail, shifted by X
+    assert rows.products[(2, 0, 0)] == (1, ((4, (1, 0, 1)),))
     assert normal_form(x2, rows) == normal_form(x2, list(rows))
 
 
@@ -88,6 +92,70 @@ def test_earlier_row_wins_when_two_divide(ring):
     rows = BasisRows(first_x)
     assert normal_form(f, rows) == ring.parse("Y*Z")
     assert rows.first[(1, 1, 0)] is rows.rows[0]
+
+
+def test_earlier_row_wins_in_the_stored_product(ring):
+    f = ring.parse("X*Y")
+    rows = BasisRows([ring.parse("X - Z"), ring.parse("X*Y - 1")])
+    normal_form(f, rows)
+    # the tail -Z of X - Z shifted by Y, not the tail -1 of X*Y - 1
+    assert rows.products[(1, 1, 0)] == (1, ((4, (0, 1, 1)),))
+    rows = BasisRows([ring.parse("X*Y - 1"), ring.parse("X - Z")])
+    normal_form(f, rows)
+    assert rows.products[(1, 1, 0)] == (1, ((4, (0, 0, 0)),))
+
+
+def test_a_second_reduction_reads_the_stored_product(ring):
+    reducers = [ring.parse("2*X - Y"), ring.parse("Y^2 - Z")]
+    f = ring.parse("X^2*Y + X*Z")
+    rows = BasisRows(reducers)
+    assert normal_form(f, rows) == normal_form(f, reducers)
+    # X^2*Y = 3*X*Y*(2*X - Y) + 3*X*Y^2: the non-monic row's inverse lc
+    # and its tail shifted by X*Y
+    product = rows.products[(2, 1, 0)]
+    assert product == (3, ((4, (1, 2, 0)),))
+    assert normal_form(f, rows) == normal_form(f, reducers)
+    assert rows.products[(2, 1, 0)] is product
+    # a planted product is what the next reduction of X^2*Y reads
+    rows.products[(2, 1, 0)] = (3, ())
+    assert normal_form(ring.parse("X^2*Y"), rows).is_zero
+
+
+def assert_warm_rows_agree(reducers, targets):
+    """Reduce every target twice through one BasisRows, against fresh lists."""
+    rows = BasisRows(reducers)
+    for _ in range(2):  # the first pass fills the memos, the second reads them
+        for f in targets:
+            assert normal_form(f, rows) == normal_form(f, list(reducers))
+    return rows
+
+
+def products_and_s_polynomials(polys):
+    out = [f * g for f in polys for g in polys]
+    out += [s_polynomial(f, g) for f in polys for g in polys if f is not g]
+    return out
+
+
+def test_warm_rows_agree_with_fresh_lists_on_seeded_small_ideals():
+    stored = 0
+    for seed in range(50):
+        rng = random.Random(seed)
+        ring = _random_ring(rng)
+        gens = _random_polys(rng, ring)
+        targets = products_and_s_polynomials(gens) + list(_random_polys(rng, ring))
+        for reducers in (gens, groebner_basis(ring, gens)):
+            stored += len(assert_warm_rows_agree(reducers, targets).products)
+    assert stored > 50
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIC))
+def test_warm_rows_agree_with_fresh_lists_on_classic_systems(name):
+    nvars, texts = CLASSIC[name]
+    ring = classic_ring(nvars)
+    gens = tuple(ring.parse(t) for t in texts)
+    targets = products_and_s_polynomials(gens)
+    for reducers in (gens, groebner_basis(ring, gens)):
+        assert assert_warm_rows_agree(reducers, targets).products
 
 
 def test_non_monic_reducer_in_a_plain_list(ring):

@@ -8,7 +8,7 @@ from icalc import (
     print_script,
     run_script,
 )
-from icalc.errors import IcalcError, ScriptError
+from icalc.errors import IcalcError, PreconditionError, RingSpecError, ScriptError
 from icalc.scenarios import SCENARIOS, run_scenario, scenario_script
 from icalc.script import (
     CheckStmt,
@@ -16,6 +16,7 @@ from icalc.script import (
     EIdeal,
     EKer,
     EName,
+    Evaluator,
     MAX_NESTING,
     LetStmt,
     RingDecl,
@@ -307,13 +308,43 @@ def test_lex_option_changes_the_printed_basis():
     assert grev.order == "grevlex" and lexi.order == "lex"
 
 
+@pytest.fixture
+def executed(monkeypatch):
+    """The statements an Evaluator executes, in order."""
+    seen = []
+    execute = Evaluator._execute
+
+    def spy(self, stmt):
+        seen.append(stmt)
+        return execute(self, stmt)
+
+    monkeypatch.setattr(Evaluator, "_execute", spy)
+    return seen
+
+
 @pytest.mark.parametrize("order", ["Lex", "GREVLEX", "block", "degrevlex"])
-def test_unknown_run_order_fails_on_the_ring_line(order):
+@pytest.mark.parametrize("source", ["", RING_LINE + "\nlet I = ideal(Y)"], ids=["no-ring", "ring"])
+def test_unknown_run_order_fails_before_any_statement(executed, order, source):
+    with pytest.raises(RingSpecError) as err:
+        run_script(parse_script(source), RunOptions(order=order))
+    assert str(err.value) == f"unknown order {order!r}; expected 'lex' or 'grevlex'"
+    assert executed == []
+
+
+@pytest.mark.parametrize("emax", [-1, 2.0, "2", None])
+def test_bad_emax_fails_before_any_statement(executed, emax):
+    # no frobenius report: the run options are checked all the same
     script = parse_script(RING_LINE + "\nlet I = ideal(Y)")
-    with pytest.raises(IcalcError) as err:
-        run_script(script, RunOptions(order=order))
-    assert str(err.value).startswith("line 1: ring R = poly(p=2; X, Y, Z)")
-    assert f"unknown order {order!r}" in str(err.value)
+    with pytest.raises(PreconditionError) as err:
+        run_script(script, RunOptions(emax=emax))
+    assert str(err.value) == f"need 0 <= e_min <= e_max; emax is {emax!r}"
+    assert executed == []
+
+
+def test_good_run_options_run_every_statement(executed):
+    script = parse_script(RING_LINE + "\nlet I = ideal(Y)")
+    run_script(script, RunOptions(order="lex", emax=0))
+    assert executed == list(script.statements)
 
 
 def test_report_document_shape():
