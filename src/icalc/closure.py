@@ -174,21 +174,22 @@ def decomposition_closure(ring: QuotientRing, ideal: Ideal, mode: str) -> Ideal:
 
     mode tight runs over every minimal prime, mode ne only over the
     absolutely minimal ones.  Computed in the ambient ring as the
-    intersection of the ideals I + J + P_i, so the result contains the
-    defining ideal.  Idempotent and monotone; a lower bound for the
-    respective closure, never the closure itself.
+    intersection of the ideals I + P_i.  Each declared prime contains
+    the defining ideal J (the ring refuses one that does not), so
+    I + P_i = I + J + P_i: the result contains J, and the eliminations
+    meet no second copy of J's generators.  Idempotent and monotone; a
+    lower bound for the respective closure, never the closure itself.
     """
     ring.require_primes()
     _validate_subject(ring, ideal)
     if mode not in (TIGHT, NE):
         raise PreconditionError(f"unknown closure mode {mode!r}")
-    base = ideal + ring.defining
     parts = [
         prime
         for prime, absmin in zip(ring.primes, ring.absolutely_minimal)
         if mode == TIGHT or absmin
     ]
-    return meet(base + prime for prime in parts)
+    return meet(ideal + prime for prime in parts)
 
 
 def closedness_necessary_test(ring: QuotientRing, ideal: Ideal, mode: str) -> ClosureReport:

@@ -25,6 +25,12 @@ class RingSpecError(IcalcError, ValueError):
     """A polynomial ring was given a bad field, variable list or order."""
 
 
+class BadArgumentError(IcalcError, ValueError):
+    """A library call got an argument outside its domain: a negative
+    exponent, a wrong-length exponent tuple, a repeated variable, or
+    the zero polynomial where a leading term is needed."""
+
+
 class CapacityError(IcalcError):
     """An exponent left the supported machine range."""
 

@@ -45,7 +45,7 @@ from heapq import heapify, heappop, heappush
 from itertools import islice
 from operator import add, le, mul, sub
 
-from .errors import RingMismatchError
+from .errors import BadArgumentError, RingMismatchError
 from .monomials import MonomialOrder, mono_divides, mono_mul, mono_sub
 from .poly import Poly, PolyRing, transport
 
@@ -332,7 +332,7 @@ def eliminate_polys(ring: PolyRing, gens, front_names) -> tuple:
     """
     front_idx = [ring.var_index(name) for name in front_names]
     if len(set(front_idx)) != len(front_idx):
-        raise ValueError("repeated variable in elimination request")
+        raise BadArgumentError("repeated variable in elimination request")
     if not front_idx:
         return groebner_basis(ring, gens)
     rest_idx = [i for i in range(ring.nvars) if i not in set(front_idx)]

@@ -1,7 +1,8 @@
 """Ideals with a lazily cached reduced basis and the derived calculus.
 
-An Ideal keeps its original nonzero generators; the reduced basis is
-computed on demand and memoized, and all equality checks go through it.
+An Ideal keeps its original nonzero generators, and a sum lists each
+generator once; the reduced basis is computed on demand and memoized,
+and all equality checks go through it.
 Intersections, colons, kernels and radical membership are implemented by
 the classical auxiliary-variable eliminations, which stay inside the
 engine's determinism contract.  Intersections and presentation kernels
@@ -119,7 +120,9 @@ class Ideal:
         if not isinstance(other, Ideal):
             return NotImplemented
         self._check_ring(other)
-        return Ideal(self.ring, self.generators + other.generators)
+        # Each generator once: a sum with J whose other side already
+        # lists some of J's generators hands the engine no copies.
+        return Ideal(self.ring, tuple(dict.fromkeys(self.generators + other.generators)))
 
     def __mul__(self, other):
         if isinstance(other, Poly):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 
 from .errors import (
+    BadArgumentError,
     CapacityError,
     ParseError,
     RingMismatchError,
@@ -111,7 +112,7 @@ class PolyRing(Record):
     def monomial(self, coeff: int, exponents) -> "Poly":
         exponents = tuple(exponents)
         if len(exponents) != self.nvars:
-            raise ValueError("exponent tuple has the wrong length")
+            raise BadArgumentError("exponent tuple has the wrong length")
         c = self.field.normalize(coeff)
         if c == 0:
             return self.zero()
@@ -155,13 +156,13 @@ class Poly:
     @property
     def lead_coeff(self) -> int:
         if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
+            raise BadArgumentError("zero polynomial has no leading term")
         return self.terms[0][0]
 
     @property
     def lead_monomial(self):
         if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
+            raise BadArgumentError("zero polynomial has no leading term")
         return self.terms[0][1]
 
     def total_degree(self) -> int:
@@ -250,7 +251,7 @@ class Poly:
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
+            raise BadArgumentError("exponent must be a non-negative integer")
         result = self.ring.one()
         base = self
         while k:
@@ -287,7 +288,7 @@ def frobenius_power(f: Poly, e: int) -> Poly:
     F_p coefficientwise; each exponent is multiplied by q = p^e.
     """
     if not isinstance(e, int) or e < 0:
-        raise ValueError("Frobenius exponent must be a non-negative integer")
+        raise BadArgumentError("Frobenius exponent must be a non-negative integer")
     if e == 0 or f.is_constant():
         return f
     # p >= 2, so e >= 31 gives q >= 2^31 for every non-constant f; the

@@ -13,11 +13,14 @@ decomposition machinery.  Everything after '#' on a line is a comment.
 
 Script-level ideal values track two forms.  The raw generator tuple, as
 entered, feeds the count-sensitive operations (sop, regular, the
-theorem verdicts).  The handle, the entered ideal joined with the
-defining ideal, feeds equality, membership and the algebraic operators,
-which is what reading generators in the presented ring means.  Derived
-values (meet, colon, bracket, dc, ker) take their reduced basis as the
-raw form.
+theorem verdicts).  The handle, an ambient ideal that contains the
+defining ideal J, feeds equality, membership and the algebraic
+operators, which is what reading generators in the presented ring
+means.  Each handle lists J's generators at most once:
+ideal(...), ker(...), + and * values join their raw generators with J,
+and meet, colon, bracket and dc values, which contain J already, are
+their own handle.  Derived values (meet, colon, bracket, dc, ker) take
+their reduced basis as the raw form.
 """
 
 from __future__ import annotations
@@ -494,7 +497,12 @@ class RunOptions(Record):
 
 
 class ScriptIdeal(Record):
-    """A script-level ideal value: entered generators plus quotient handle."""
+    """A script-level ideal value.
+
+    raw is the generator tuple as entered (a derived value's reduced
+    basis); handle is the ambient ideal, containing J, that the value
+    means in the presented ring.
+    """
 
     __slots__ = ("raw", "handle")
 
@@ -676,17 +684,18 @@ class Evaluator:
     def _plain(self, value: ScriptIdeal) -> Ideal:
         return Ideal(self.ring, value.raw)
 
+    def _entered(self, raw) -> ScriptIdeal:
+        return ScriptIdeal(raw=raw, handle=Ideal(self.ring, raw) + self.defining)
+
     def _derived(self, ideal: Ideal) -> ScriptIdeal:
-        return ScriptIdeal(raw=ideal.groebner, handle=ideal + self.defining)
+        # meet, colon, bracket and dc results already contain J.
+        return ScriptIdeal(raw=ideal.groebner, handle=ideal)
 
     def _eval(self, expr) -> ScriptIdeal:
         if isinstance(expr, EIdeal):
-            gens = tuple(
+            return self._entered(tuple(
                 g for g in (parse_poly(self.ring, t) for t in expr.gens) if not g.is_zero
-            )
-            return ScriptIdeal(
-                raw=gens, handle=Ideal(self.ring, gens) + self.defining
-            )
+            ))
         if isinstance(expr, EName):
             return self.bindings[expr.name]
         if isinstance(expr, EForm):
@@ -694,12 +703,9 @@ class Evaluator:
                 raise NeedsPrimesError("dc(...) cannot appear in the ring declaration")
             a, b = self._args(expr.args)
             if expr.kind == "+":
-                return ScriptIdeal(raw=a.raw + b.raw, handle=a.handle + b.handle)
+                return self._entered(a.raw + b.raw)
             if expr.kind == "*":
-                raw = tuple(f * g for f in a.raw for g in b.raw)
-                return ScriptIdeal(
-                    raw=raw, handle=Ideal(self.ring, raw) + self.defining
-                )
+                return self._entered(tuple(f * g for f in a.raw for g in b.raw))
             if expr.kind == "meet":
                 return self._derived(a.handle.intersect(b.handle))
             if expr.kind == "colon":
@@ -712,10 +718,7 @@ class Evaluator:
                 self.ring.field, expr.targets, MonomialOrder.grevlex()
             )
             images = {src: parse_poly(target, text) for src, text in expr.images}
-            kernel = ring_map_kernel(self.ring, target, images)
-            return ScriptIdeal(
-                raw=kernel.generators, handle=kernel + self.defining
-            )
+            return self._entered(ring_map_kernel(self.ring, target, images).generators)
         raise TypeError(f"not an expression: {expr!r}")
 
     def _run_check(self, stmt, args):

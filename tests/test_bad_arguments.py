@@ -1,0 +1,58 @@
+"""Bad arguments to library calls end in a BadArgumentError.
+
+It is an IcalcError, so callers and the command line separate it from a
+genuine bug, and a ValueError, so callers that catch ValueError keep
+working.  Each message is the one these calls have always raised.
+"""
+
+import pytest
+
+from icalc import Ideal, MonomialOrder, PolyRing, PrimeField
+from icalc.errors import BadArgumentError, IcalcError
+from icalc.poly import frobenius_power
+
+
+@pytest.fixture
+def ring():
+    return PolyRing(PrimeField(3), ("X", "Y"), MonomialOrder.grevlex())
+
+
+def _raises(message, call):
+    with pytest.raises(BadArgumentError, match=message) as caught:
+        call()
+    assert isinstance(caught.value, IcalcError)
+    assert isinstance(caught.value, ValueError)
+
+
+def test_eliminate_repeated_variable(ring):
+    I = Ideal(ring, (ring.parse("X - Y"),))
+    _raises("repeated variable in elimination request", lambda: I.eliminate(("X", "X")))
+
+
+def test_monomial_wrong_length(ring):
+    _raises("exponent tuple has the wrong length", lambda: ring.monomial(1, (1,)))
+
+
+def test_negative_power(ring):
+    X = ring.var("X")
+    _raises("exponent must be a non-negative integer", lambda: X ** -1)
+
+
+def test_negative_frobenius_exponent(ring):
+    X = ring.var("X")
+    _raises(
+        "Frobenius exponent must be a non-negative integer",
+        lambda: frobenius_power(X, -1),
+    )
+
+
+def test_negative_bracket_power(ring):
+    I = Ideal(ring, (ring.var("X"), ring.parse("Y^2 + X")))
+    _raises(
+        "Frobenius exponent must be a non-negative integer",
+        lambda: I.bracket_power(-1),
+    )
+
+
+def test_zero_has_no_lead_monomial(ring):
+    _raises("zero polynomial has no leading term", lambda: ring.zero().lead_monomial)
