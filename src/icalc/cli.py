@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .errors import IcalcError, ScriptError
-from .scenarios import SCENARIOS, run_scenario
+from .scenarios import SCENARIOS, scenario_script
 from .script import RunOptions, parse_script, run_script
 
 EXIT_OK = 0
@@ -37,10 +37,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact ideal calculus and closure diagnostics over prime fields",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="evaluate a script file")
-    run.add_argument("file", help="script file to evaluate")
-    run.add_argument(
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument(
         "--json",
         nargs="?",
         const="-",
@@ -48,38 +46,42 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="OUT",
         help="emit the JSON report (to OUT, or stdout when no path is given)",
     )
+
+    run = sub.add_parser("run", parents=[report], help="evaluate a script file")
+    run.add_argument("file", help="script file to evaluate")
     run.add_argument("--order", choices=("lex", "grevlex"), default="grevlex")
     run.add_argument("--emax", type=_nonnegative_int, default=5)
     run.add_argument("--seed", type=int, default=0)
 
-    repro = sub.add_parser("repro", help="replay a built-in scenario")
+    repro = sub.add_parser("repro", parents=[report], help="replay a built-in scenario")
     repro.add_argument("name", help="scenario name: " + ", ".join(sorted(SCENARIOS)))
-    repro.add_argument(
-        "--json",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="OUT",
-        help="emit the JSON report (to OUT, or stdout when no path is given)",
-    )
 
     sub.add_parser("check-suite", help="run every randomized property suite")
     return parser
 
 
-def _emit(doc, json_target) -> int:
-    if json_target == "-":
-        sys.stdout.write(doc.to_json())
-    elif json_target is not None:
+def _fail(message, code) -> int:
+    print(f"icalc: {message}", file=sys.stderr)
+    return code
+
+
+def _run(source: str, scenario: str, options: RunOptions, json_target) -> int:
+    """Parse, run and emit one script: the path of both run and repro."""
+    try:
+        script = parse_script(source)
+    except ScriptError as exc:
+        return _fail(exc, EXIT_USAGE)
+    try:
+        doc = run_script(script, options, scenario=scenario)
+    except IcalcError as exc:
+        return _fail(exc, EXIT_EVALUATION)
+    if json_target not in (None, "-"):
         try:
             with open(json_target, "w", encoding="utf-8") as handle:
                 handle.write(doc.to_json())
         except OSError as exc:
-            print(f"icalc: cannot write {json_target}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        sys.stdout.write(doc.to_text())
-    else:
-        sys.stdout.write(doc.to_text())
+            return _fail(f"cannot write {json_target}: {exc}", EXIT_USAGE)
+    sys.stdout.write(doc.to_json() if json_target == "-" else doc.to_text())
     return EXIT_OK if doc.all_checks_pass else EXIT_CHECK_FAILED
 
 
@@ -88,33 +90,17 @@ def _cmd_run(args) -> int:
         with open(args.file, encoding="utf-8") as handle:
             source = handle.read()
     except OSError as exc:
-        print(f"icalc: cannot read {args.file}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        script = parse_script(source)
-    except ScriptError as exc:
-        print(f"icalc: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(f"cannot read {args.file}: {exc}", EXIT_USAGE)
     options = RunOptions(order=args.order, emax=args.emax, seed=args.seed)
-    try:
-        doc = run_script(script, options, scenario=args.file)
-    except IcalcError as exc:
-        print(f"icalc: {exc}", file=sys.stderr)
-        return EXIT_EVALUATION
-    return _emit(doc, args.json)
+    return _run(source, args.file, options, args.json)
 
 
 def _cmd_repro(args) -> int:
-    if args.name not in SCENARIOS:
-        known = ", ".join(sorted(SCENARIOS))
-        print(f"icalc: unknown scenario {args.name!r}; available: {known}", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        doc = run_scenario(args.name)
-    except IcalcError as exc:
-        print(f"icalc: {exc}", file=sys.stderr)
-        return EXIT_EVALUATION
-    return _emit(doc, args.json)
+        source = scenario_script(args.name)
+    except ScriptError as exc:
+        return _fail(exc, EXIT_USAGE)
+    return _run(source, args.name, RunOptions(), args.json)
 
 
 def _cmd_check_suite() -> int:

@@ -60,11 +60,6 @@ def _gb_strings(ideal: Ideal):
     return [str(g) for g in ideal.groebner]
 
 
-def _first_outside(gens, ideal: Ideal):
-    """The first of gens that ideal does not contain; None when all lie in it."""
-    return next((g for g in gens if not ideal.contains(g)), None)
-
-
 class ClosureReport(Record):
     """Outcome of one closedness diagnostic.
 
@@ -204,7 +199,7 @@ def closedness_necessary_test(ring: QuotientRing, ideal: Ideal, mode: str) -> Cl
     base = ideal + ring.defining
     citation = CITE_TIGHT_DECOMPOSITION if mode == TIGHT else CITE_NE_DECOMPOSITION
     kind = "tightly closed" if mode == TIGHT else "NE-closed"
-    witness = _first_outside(dc.groebner, base)
+    witness = base.first_outside(dc.groebner)
     if witness is None:
         status = INCONCLUSIVE
         notes = (
@@ -248,7 +243,7 @@ def theorem_contain_verdict(ring: QuotientRing, ideal: Ideal) -> ClosureReport:
             "the generators are not a system of parameters of the presented ring"
         )
     pq = split.top + split.low
-    outside = _first_outside(ideal.generators, pq)
+    outside = pq.first_outside(ideal.generators)
     dc = decomposition_closure(ring, ideal, TIGHT)
     if outside is None:
         status = NOT_CLOSED
@@ -362,10 +357,11 @@ def structural_verdict(
     Q is the ideal of all variables but the last, so S/Q is a regular
     one-dimensional quotient.  Two criteria can certify that no
     parameter ideal of S/(P meet Q) is tightly closed: the P-component
-    being Cohen-Macaulay (probed), or P being graded, unmixed (asserted
-    by the caller, echoed here) and of dimension at least two with a
-    graded parameter ideal.  Gradings are taken with respect to any
-    positive integer weighting and are checked per ideal.
+    being Cohen-Macaulay (probed; a heuristic probe certifies nothing),
+    or P being graded, unmixed (asserted by the caller, echoed here) and
+    of dimension at least two with a graded parameter ideal.  Gradings
+    are taken with respect to any positive integer weighting and are
+    checked per ideal.
     """
     if ring.nvars < 2:
         raise NotApplicableError(
@@ -402,7 +398,7 @@ def structural_verdict(
     probe = cm_probe(make_ring(ring, p_ideal), seed=seed)
     tag = " (heuristic)" if probe.heuristic else ""
     notes.append(f"cm probe on the P-component: {probe.verdict}{tag}")
-    if probe.verdict == CM:
+    if probe.verdict == CM and not probe.heuristic:
         status = NOT_CLOSED
         citations = (CITE_CM_DVR,)
         notes.append(
@@ -412,7 +408,7 @@ def structural_verdict(
     else:
         p_weights = p_ideal.positive_grading()
         i_weights = subject.positive_grading()
-        failed = []
+        failed = ["the CM probe is heuristic"] if probe.verdict == CM else []
         if p_weights is None:
             failed.append("the P-component admits no positive grading")
         if not unmixed_asserted:
@@ -512,7 +508,7 @@ def construct_ne_test_data(ring: QuotientRing, multipliers=None, cap: int = 10) 
         if not others:
             ds.append(one)
             continue
-        d = _first_outside(meet(others).groebner, primes[i])
+        d = primes[i].first_outside(meet(others).groebner)
         if d is None:
             raise RedundantDecompositionError(
                 f"every generator of the complementary intersection lies in "

@@ -75,7 +75,7 @@ class NormalizationError(IcalcError):
     """Generator normal form against a distinguished variable fails."""
 
 
-class RedundantDecompositionError(IcalcError):
+class RedundantDecompositionError(BadDecompositionError):
     """A declared component is contained in another one."""
 
 

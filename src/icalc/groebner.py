@@ -14,14 +14,15 @@ Determinism contract, relied on by every golden test downstream:
   since the order key sorts the leading monomial first;
 * during Buchberger and ``is_groebner_basis`` normal forms read the
   rows (lead, inverse lead coefficient, tail) the basis keeps as it
-  grows, and a memo of each monomial's first dividing row; rows are only
-  appended, so a memoized first divisor stays first and the divisor
-  order is the same as a fresh scan of the list;
-* the same rows keep, for each monomial m they have reduced, the tail of
-  m's first dividing row shifted by m - lm, built on m's first reduction
+  grows, and one memo keyed by monomial; rows are only appended, so the
+  divisor order is the same as a fresh scan of the list;
+* the memo holds, for a monomial m already reduced, the tail of m's
+  first dividing row shifted by m - lm, built on m's first reduction
   and read on every later one; it can never be stale, since m's first
-  divisor never changes once found, and a monomial found irreducible
-  gets its product only when a later row divides it;
+  divisor never changes once found;
+* for a monomial m found irreducible, the memo holds the number of rows
+  it was checked against, so a later lookup scans only the rows
+  appended since, and m gets its product when one of them divides it;
 * the returned basis is the reduced one (monic, tails reduced, minimal
   leading monomials) sorted by leading monomial, largest first, which is
   canonical for the pair (ideal, order); every tail reduces against one
@@ -53,26 +54,25 @@ _GB_CACHE = {}
 
 
 class BasisRows:
-    """A reducer list that keeps its division rows and two reduction memos.
+    """A reducer list that keeps its division rows and one reduction memo.
 
     Each appended polynomial adds the row (lm, inverse lc, tail terms);
-    zero polynomials add none.  ``first`` maps every monomial looked up
-    so far to its first dividing row, or to the number of rows it was
-    found irreducible against.  ``products`` maps every monomial m
-    reduced so far to (inverse lc, tail pairs) of that row, the tail
-    shifted by m - lm as (coefficient, monomial) pairs.  Rows are only
-    ever appended, so a first divisor stays first, its product never
-    goes stale, and an irreducible monomial need only be checked against
-    the rows added since.
+    zero polynomials add none.  ``memo`` maps every monomial looked up
+    so far either to the number of rows it was found irreducible
+    against, an int, or, once reduced, to the tuple (inverse lc, tail
+    pairs) of its first dividing row, the tail shifted by m - lm as
+    (coefficient, monomial) pairs.  Rows are only ever appended, so a
+    first divisor stays first, its product never goes stale, and an
+    irreducible monomial need only be checked against the rows added
+    since.
     """
 
-    __slots__ = ("polys", "rows", "first", "products")
+    __slots__ = ("polys", "rows", "memo")
 
     def __init__(self, polys=()):
         self.polys = []
         self.rows = []
-        self.first = {}
-        self.products = {}
+        self.memo = {}
         for g in polys:
             self.append(g)
 
@@ -108,8 +108,7 @@ def normal_form(f: Poly, reducers) -> Poly:
     rows = reducers.rows
     if not rows:
         return f
-    first = reducers.first
-    products = reducers.products
+    memo = reducers.memo
     n = len(rows)
     ring = f.ring
     p = ring.field.p
@@ -123,21 +122,20 @@ def normal_form(f: Poly, reducers) -> Poly:
         c = work.pop(m, 0)
         if not c:
             continue
-        product = products.get(m)
-        if product is None:
+        product = memo.get(m, 0)
+        if product.__class__ is int:
             # m has no divisor yet: scan the rows added since it was
             # last found irreducible.
-            for row in islice(rows, first.get(m, 0), None):
+            for row in islice(rows, product, None):
                 if all(map(le, row[0], m)):
                     break
             else:
-                first[m] = n
+                memo[m] = n
                 remainder[m] = c
                 continue
-            first[m] = row
             lm, inv_lc, tail = row
             shift = tuple(map(sub, m, lm))
-            product = products[m] = (
+            product = memo[m] = (
                 inv_lc,
                 tuple([(cg, tuple(map(add, mg, shift))) for cg, mg in tail]),
             )
@@ -282,7 +280,7 @@ def is_groebner_basis(basis) -> bool:
 def exact_divide(h: Poly, f: Poly) -> Poly:
     """The quotient h / f when f divides h exactly; raises otherwise."""
     if f.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
+        raise BadArgumentError("division by the zero polynomial")
     ring = h.ring
     p = ring.field.p
     key = ring.order.key
@@ -294,7 +292,7 @@ def exact_divide(h: Poly, f: Poly) -> Poly:
         m = min(work, key=key)
         c = work[m]
         if not mono_divides(lm_f, m):
-            raise ValueError(f"{f} does not divide {h}")
+            raise BadArgumentError(f"{f} does not divide {h}")
         factor = c * inv_lc % p
         shift = mono_sub(m, lm_f)
         quotient[shift] = factor

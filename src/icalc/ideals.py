@@ -83,9 +83,13 @@ class Ideal:
     def __contains__(self, f: Poly) -> bool:
         return self.contains(f)
 
+    def first_outside(self, polys):
+        """The first of polys this ideal does not contain; None when all lie in it."""
+        return next((f for f in polys if not self.contains(f)), None)
+
     def contains_ideal(self, other: "Ideal") -> bool:
         self._check_ring(other)
-        return all(self.contains(g) for g in other.generators)
+        return self.first_outside(other.generators) is None
 
     @property
     def is_zero(self) -> bool:
@@ -205,11 +209,11 @@ class Ideal:
         """The ideal of p^e-th powers of the generators.
 
         Independent of the chosen generators because Frobenius is a ring
-        map in characteristic p.
+        map in characteristic p.  The zero ideal is generated by 0, so
+        frobenius_power checks e for it too.
         """
-        return Ideal(
-            self.ring, tuple(frobenius_power(g, e) for g in self.generators)
-        )
+        gens = self.generators or (self.ring.zero(),)
+        return Ideal(self.ring, tuple(frobenius_power(g, e) for g in gens))
 
     def radical_contains(self, f: Poly) -> bool:
         """Some power of f lands in the ideal (one extra variable trick).
@@ -227,8 +231,7 @@ class Ideal:
             t = ext.var(name)
             gens = [transport(g, ext) for g in self.generators]
             gens.append(ext.one() - t * transport(f, ext))
-            gb = groebner_basis(ext, gens)
-            return bool(gb) and gb[0].is_constant()
+            return Ideal(ext, gens).is_unit
 
         return memoized(("radical", self.ring, self.generators, f), compute)
 
@@ -239,10 +242,9 @@ class Ideal:
         monomial's support, a statement about the initial ideal that any
         single basis settles.
         """
-        gb = self.groebner
-        if gb and gb[0].is_constant():
+        if self.is_unit:
             return -1
-        supports = {mono_support(g.terms[0][1]) for g in gb}
+        supports = {mono_support(g.terms[0][1]) for g in self.groebner}
         n = self.ring.nvars
         best = 0
         for size in range(n, 0, -1):

@@ -195,13 +195,8 @@ class Poly:
             return NotImplemented
         self._check_ring(other)
         acc = {m: c for c, m in self.terms}
-        p = self.ring.field.p
         for c, m in other.terms:
-            v = (acc.get(m, 0) + c) % p
-            if v:
-                acc[m] = v
-            else:
-                acc.pop(m, None)
+            acc[m] = acc.get(m, 0) + c
         return Poly.from_dict(self.ring, acc)
 
     __radd__ = __add__
@@ -222,24 +217,15 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            c = self.ring.field.normalize(other)
-            if c == 0:
-                return self.ring.zero()
-            p = self.ring.field.p
-            return Poly(self.ring, tuple((a * c % p, m) for a, m in self.terms))
+            return Poly.from_dict(self.ring, {m: a * other for a, m in self.terms})
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_ring(other)
-        p = self.ring.field.p
         acc = {}
         for ca, ma in self.terms:
             for cb, mb in other.terms:
                 m = mono_mul(ma, mb)
-                v = (acc.get(m, 0) + ca * cb) % p
-                if v:
-                    acc[m] = v
-                else:
-                    del acc[m]
+                acc[m] = acc.get(m, 0) + ca * cb
         return Poly.from_dict(self.ring, acc)
 
     __rmul__ = __mul__
@@ -361,34 +347,9 @@ def tokenize(text: str):
     return out
 
 
-def parse_poly_tokens(ring: PolyRing, toks, i: int):
-    """Consume one polynomial from a token list; return (Poly, next index)."""
-    p = ring.field.p
-    n = ring.nvars
-    acc = {}
-    sign = 1
-    if i < len(toks) and toks[i] == ("op", "-"):
-        sign = -1
-        i += 1
-    while True:
-        coeff, mono, i = _parse_term(ring, toks, i, n)
-        c = sign * coeff % p
-        m = tuple(mono)
-        v = (acc.get(m, 0) + c) % p
-        if v:
-            acc[m] = v
-        else:
-            acc.pop(m, None)
-        if i < len(toks) and toks[i][0] == "op" and toks[i][1] in "+-":
-            sign = 1 if toks[i][1] == "+" else -1
-            i += 1
-        else:
-            return Poly.from_dict(ring, acc), i
-
-
-def _parse_term(ring, toks, i, n):
+def _parse_term(ring, toks, i):
     coeff = 1
-    mono = [0] * n
+    mono = [0] * ring.nvars
     saw_factor = False
     while True:
         if i >= len(toks):
@@ -397,7 +358,7 @@ def _parse_term(ring, toks, i, n):
             raise ParseError("unexpected end of polynomial")
         kind, value = toks[i]
         if kind == "int":
-            coeff = coeff * value % ring.field.p
+            coeff *= value
             i += 1
         elif kind == "name":
             j = ring.var_index(value)
@@ -429,10 +390,20 @@ def parse_poly(ring: PolyRing, text: str) -> Poly:
     toks = tokenize(text)
     if not toks:
         raise ParseError("empty polynomial text")
-    poly, i = parse_poly_tokens(ring, toks, 0)
+    acc = {}
+    sign, i = (-1, 1) if toks[0] == ("op", "-") else (1, 0)
+    while True:
+        coeff, mono, i = _parse_term(ring, toks, i)
+        m = tuple(mono)
+        acc[m] = acc.get(m, 0) + sign * coeff
+        if i < len(toks) and toks[i][0] == "op" and toks[i][1] in "+-":
+            sign = 1 if toks[i][1] == "+" else -1
+            i += 1
+        else:
+            break
     if i != len(toks):
         raise ParseError(f"trailing tokens after polynomial in {text!r}")
-    return poly
+    return Poly.from_dict(ring, acc)
 
 
 def poly_str(f: Poly) -> str:

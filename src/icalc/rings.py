@@ -3,9 +3,11 @@
 Everything downstream works with ambient representatives: an ideal of
 R = S/J is handled as an ideal of S containing J, and a "ring" here is
 the defining ideal plus optional decomposition data.  Primality of the
-declared components is the caller's assertion; what the constructor does
-verify is the radical identity rad J = intersection of the components,
-which is the part the closure tests actually lean on.
+declared components is the caller's assertion.  What the constructor
+does verify is that each component contains J, that the components are
+pairwise incomparable (no one lies inside another, so no component is
+listed twice), and the radical identity rad J = intersection of the
+components, which is the part the closure tests actually lean on.
 
 The graded-local convention: the ambient ring stands in for a complete
 local ring, with the irrelevant ideal as the maximal ideal.  Dimension
@@ -22,11 +24,12 @@ from .errors import (
     EmptyRingError,
     NeedsPrimesError,
     PreconditionError,
+    RedundantDecompositionError,
     RingMismatchError,
 )
 from .grading import is_weight_homogeneous
 from .ideals import Ideal, meet
-from .poly import Poly, PolyRing
+from .poly import PolyRing
 from .records import Record
 
 CM = "CM"
@@ -70,11 +73,12 @@ class QuotientRing:
                 raise RingMismatchError("component outside the ambient ring")
             if P.is_unit:
                 raise BadDecompositionError("the unit ideal is not a component")
-            for g in defining.generators:
-                if not P.contains(g):
-                    raise BadDecompositionError(
-                        f"defining generator {g} escapes the component {P}"
-                    )
+            g = P.first_outside(defining.generators)
+            if g is not None:
+                raise BadDecompositionError(f"defining generator {g} escapes the component {P}")
+        for P, Q in itertools.permutations(primes, 2):
+            if Q.first_outside(P.generators) is None:
+                raise RedundantDecompositionError(f"the component {P} lies inside {Q}")
         radical = meet(primes)
         for g in radical.generators:
             if not defining.radical_contains(g):

@@ -9,7 +9,9 @@ Line-oriented statements drive every operation the workbench offers:
 
 One ambient ring is active per script; the declaration's / clause
 establishes the quotient context and its optional primes list feeds the
-decomposition machinery.  Everything after '#' on a line is a comment.
+decomposition machinery.  Each declared prime is an ambient ideal that
+contains J, passed as entered, so the ring's own checks apply to it.
+Everything after '#' on a line is a comment.
 
 Script-level ideal values track two forms.  The raw generator tuple, as
 entered, feeds the count-sensitive operations (sop, regular, the
@@ -170,28 +172,18 @@ class _LineParser:
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
 
-    def expect_op(self, op):
-        if self.peek() != ("op", op):
-            self.error(f"'{op}'")
+    def expect(self, kind, value=None, what=None):
+        """The next token's value; it must be of kind, and equal value when
+        one is given.  Otherwise an error names what, or the quoted value."""
+        found_kind, found = self.peek()
+        if found_kind != kind or (value is not None and found != value):
+            self.error(what or f"'{value}'")
         self.pos += 1
-
-    def expect_name(self, what="a name"):
-        kind, value = self.peek()
-        if kind != "name":
-            self.error(what)
-        self.pos += 1
-        return value
-
-    def expect_int(self):
-        kind, value = self.peek()
-        if kind != "int":
-            self.error("an integer")
-        self.pos += 1
-        return value
+        return found
 
     def expect_fresh(self, seen, what, noun):
         """A name not in seen; a repeat is an error at that name."""
-        name = self.expect_name(what)
+        name = self.expect("name", what=what)
         if name in seen:
             self.pos -= 1
             self.fail(f"duplicate {noun} {name!r}")
@@ -210,11 +202,6 @@ class _LineParser:
         """A comma-separated list of distinct names."""
         names = []
         return self.listed(lambda: self.expect_fresh(names, what, noun))
-
-    def expect_keyword(self, word):
-        if self.peek() != ("name", word):
-            self.error(f"'{word}'")
-        self.pos += 1
 
     def expect_mode(self):
         kind, mode = self.peek()
@@ -245,27 +232,27 @@ class _LineParser:
     def call_args(self, slots):
         """The parenthesized arguments of a form, check or report, read
         slot by slot; returns the values and the flags given."""
-        self.expect_op("(")
+        self.expect("op", "(")
         args = []
         flags = ()
         for i, slot in enumerate(slots):
             if slot == "unmixed":
                 if self.peek() == ("op", ","):
                     self.pos += 1
-                    self.expect_keyword("unmixed")
+                    self.expect("name", "unmixed")
                     flags = ("unmixed",)
                 continue
             if i:
-                self.expect_op(",")
+                self.expect("op", ",")
             if slot == "expr":
                 args.append(self.parse_expr())
             elif slot == "poly":
                 args.append(("poly", self.poly_text()))
             elif slot == "int":
-                args.append(self.expect_int())
+                args.append(self.expect("int", what="an integer"))
             else:
                 args.append(self.expect_mode())
-        self.expect_op(")")
+        self.expect("op", ")")
         return tuple(args), flags
 
     def parse_expr(self):
@@ -292,27 +279,27 @@ class _LineParser:
             self.error("an ideal expression")
         if value == "ideal":
             self.pos += 1
-            self.expect_op("(")
+            self.expect("op", "(")
             gens = self.listed(self.poly_text)
-            self.expect_op(")")
+            self.expect("op", ")")
             return EIdeal(gens)
         if value in FORM_ARGS:
             self.pos += 1
             return EForm(value, self.call_args(FORM_ARGS[value])[0])
         if value == "ker":
             self.pos += 1
-            self.expect_op("(")
+            self.expect("op", "(")
             targets = self.expect_names("a target variable", "target variable")
-            self.expect_op(";")
+            self.expect("op", ";")
             sources = []
 
             def image():
                 src = self.expect_fresh(sources, "a source variable", "source variable")
-                self.expect_op("->")
+                self.expect("op", "->")
                 return (src, self.poly_text("an image polynomial"))
 
             images = self.listed(image)
-            self.expect_op(")")
+            self.expect("op", ")")
             return EKer(targets, images)
         if value in self.rings:
             self.fail(f"{value!r} names the ring, not an ideal")
@@ -346,7 +333,7 @@ def parse_script(source: str) -> Script:
             continue
         toks = _scan(line, line_no)
         lp = _LineParser(toks, line_no, ring_names)
-        head = lp.expect_name("'ring', 'let', 'check' or 'report'")
+        head = lp.expect("name", what="'ring', 'let', 'check' or 'report'")
         if head == "ring":
             statements.append(_parse_ring(lp, seen_names))
         elif head == "let":
@@ -382,18 +369,18 @@ def _check_bound(expr, seen, line, depth=1):
 
 
 def _parse_ring(lp, seen):
-    name = lp.expect_name("a ring name")
+    name = lp.expect("name", what="a ring name")
     _check_fresh(name, seen, lp.line)
     lp.rings.add(name)
-    lp.expect_op("=")
-    lp.expect_keyword("poly")
-    lp.expect_op("(")
-    lp.expect_keyword("p")
-    lp.expect_op("=")
-    p = lp.expect_int()
-    lp.expect_op(";")
+    lp.expect("op", "=")
+    lp.expect("name", "poly")
+    lp.expect("op", "(")
+    lp.expect("name", "p")
+    lp.expect("op", "=")
+    p = lp.expect("int", what="an integer")
+    lp.expect("op", ";")
     variables = lp.expect_names("a variable name", "variable")
-    lp.expect_op(")")
+    lp.expect("op", ")")
     defining = None
     primes = ()
     if lp.peek() == ("op", "/"):
@@ -402,18 +389,18 @@ def _parse_ring(lp, seen):
         _check_bound(defining, seen, lp.line)
         if lp.peek() == ("name", "with"):
             lp.pos += 1
-            lp.expect_keyword("primes")
-            lp.expect_op("[")
+            lp.expect("name", "primes")
+            lp.expect("op", "[")
             primes = lp.listed(lp.parse_expr)
-            lp.expect_op("]")
+            lp.expect("op", "]")
             for e in primes:
                 _check_bound(e, seen, lp.line)
     return RingDecl(name, p, variables, defining, primes, lp.line)
 
 
 def _parse_let(lp, seen):
-    name = lp.expect_name("a binding name")
-    lp.expect_op("=")
+    name = lp.expect("name", what="a binding name")
+    lp.expect("op", "=")
     expr = lp.parse_expr()
     _check_bound(expr, seen, lp.line)
     _check_fresh(name, seen, lp.line)
@@ -423,7 +410,7 @@ def _parse_let(lp, seen):
 def _parse_call(lp, seen, head):
     """A check or report statement, read by its kind's argument slots."""
     table = CHECK_ARGS if head == "check" else REPORT_ARGS
-    kind = lp.expect_name(f"a {head} kind")
+    kind = lp.expect("name", what=f"a {head} kind")
     if kind not in table:
         lp.pos -= 1
         lp.error("one of " + ", ".join(table))
@@ -553,12 +540,6 @@ class ReportDocument(Record):
         return "\n".join(lines) + "\n"
 
 
-def _basis_text(ideal: Ideal) -> str:
-    if not ideal.groebner:
-        return "(0)"
-    return "(%s)" % ", ".join(str(g) for g in ideal.groebner)
-
-
 def _entry_lines(kind, payload):
     data = payload.to_json_dict()
     if kind in ("closedness", "contain", "structural"):
@@ -668,7 +649,7 @@ class Evaluator:
             self.defining = self._eval(stmt.defining).handle
         primes = None
         if stmt.primes:
-            primes = tuple(self._eval(e).handle for e in stmt.primes)
+            primes = tuple(self._plain(self._eval(e)) for e in stmt.primes)
         self.qring = make_ring(self.ring, self.defining, primes=primes)
 
     def _args(self, args):
@@ -726,9 +707,8 @@ class Evaluator:
             a, b = args
             if a.handle == b.handle:
                 return True, None
-            return False, "left = %s; right = %s" % (
-                _basis_text(a.handle),
-                _basis_text(b.handle),
+            return False, "left = %s; right = %s" % tuple(
+                Ideal(self.ring, v.handle.groebner) for v in (a, b)
             )
         if stmt.kind == "member":
             poly, value = args

@@ -9,6 +9,7 @@ import pytest
 
 from icalc import Ideal, MonomialOrder, PolyRing, PrimeField
 from icalc.errors import BadArgumentError, IcalcError
+from icalc.groebner import exact_divide
 from icalc.poly import frobenius_power
 
 
@@ -52,6 +53,21 @@ def test_negative_bracket_power(ring):
         "Frobenius exponent must be a non-negative integer",
         lambda: I.bracket_power(-1),
     )
+
+
+def test_negative_bracket_power_of_the_zero_ideal(ring):
+    _raises(
+        "Frobenius exponent must be a non-negative integer",
+        lambda: Ideal(ring, ()).bracket_power(-1),
+    )
+
+
+def test_exact_divide_by_a_non_divisor(ring):
+    _raises("Y does not divide X", lambda: exact_divide(ring.var("X"), ring.var("Y")))
+
+
+def test_exact_divide_by_zero(ring):
+    _raises("division by the zero polynomial", lambda: exact_divide(ring.var("X"), ring.zero()))
 
 
 def test_zero_has_no_lead_monomial(ring):

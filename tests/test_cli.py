@@ -105,8 +105,30 @@ def test_run_evaluation_error(tmp_path, capsys):
             EXIT_USAGE,
             "icalc: line 2, token 4: 'R' names the ring, not an ideal\n",
         ),
+        (
+            # a declared prime is checked as entered, not widened by J
+            "ring R = poly(p=2; X, Y, Z) / ideal(X*Y, X*Z) with primes [ideal(X), ideal(Y)]\n"
+            "report closedness(ideal(0), ne)\n",
+            EXIT_EVALUATION,
+            "icalc: line 1: ring R = poly(p=2; X, Y, Z) / ideal(X*Y, X*Z) with primes "
+            "[ideal(X), ideal(Y)]: defining generator X*Z escapes the component (Y)\n",
+        ),
+        (
+            "ring R = poly(p=2; X, Y) / ideal(X) with primes [ideal(X), ideal(X, Y)]\n",
+            EXIT_EVALUATION,
+            "icalc: line 1: ring R = poly(p=2; X, Y) / ideal(X) with primes "
+            "[ideal(X), ideal(X, Y)]: the component (X) lies inside (X, Y)\n",
+        ),
     ],
-    ids=["dc-in-ring", "repeated-variable", "ker-source-twice", "ring-as-report-argument", "ring-as-let-value"],
+    ids=[
+        "dc-in-ring",
+        "repeated-variable",
+        "ker-source-twice",
+        "ring-as-report-argument",
+        "ring-as-let-value",
+        "prime-without-j",
+        "nested-primes",
+    ],
 )
 def test_run_rejects_bad_declarations_without_a_traceback(tmp_path, capsys, text, code, message):
     assert main(["run", write(tmp_path, text)]) == code

@@ -31,7 +31,6 @@ from icalc.closure import (
     REFUTED,
     SUPPORTED,
     TIGHT,
-    _first_outside,
 )
 from icalc.errors import (
     InvalidMultiplierError,
@@ -97,10 +96,10 @@ def test_dc_idempotent_and_monotone(surface):
 def test_first_outside_takes_the_first_escaping_generator(axes):
     x, y, z = axes.ring.gens()
     gens = (x * y, y, x * z, z, x)
-    assert _first_outside(gens, axes.J) == y
-    assert _first_outside(gens[2:], axes.J) == z
-    assert _first_outside((x * y, x * z, x * y * z), axes.J) is None
-    assert _first_outside((), axes.J) is None
+    assert axes.J.first_outside(gens) == y
+    assert axes.J.first_outside(gens[2:]) == z
+    assert axes.J.first_outside((x * y, x * z, x * y * z)) is None
+    assert axes.J.first_outside(()) is None
 
 
 def test_closedness_axes_tight_inconclusive(axes):
@@ -258,6 +257,19 @@ def test_structural_cm_branch():
     assert CITE_CM_DVR in report.citations
 
 
+def test_structural_heuristic_cm_probe_does_not_certify():
+    # The component X = 1 misses the origin, the maximal ideal here, so
+    # the probe on the non-graded (X - 1) is heuristic and proves nothing.
+    ring = PolyRing(PrimeField(3), ("X", "Y", "Z"), MonomialOrder.grevlex())
+    report = structural_verdict(ring, ii(ring, "X - 1"), (ring.parse("Y"), ring.parse("Z")))
+    assert report.status == INCONCLUSIVE
+    assert report.citations == ()
+    assert "cm probe on the P-component: CM (heuristic)" in report.notes
+    failed = report.notes[-1]
+    assert failed.startswith("failed hypotheses: the CM probe is heuristic; ")
+    assert "the P-component admits no positive grading" in failed
+
+
 def test_structural_rejects_equidimensional_configuration():
     ring = PolyRing(PrimeField(2), ("X", "Y"), MonomialOrder.grevlex())
     with pytest.raises(NotApplicableError):
@@ -407,9 +419,8 @@ def test_ne_test_data_non_reduced_exponent():
 def test_ne_test_data_redundant_decomposition():
     ring = PolyRing(PrimeField(2), ("X", "Y"), MonomialOrder.grevlex())
     P = ii(ring, "X")
-    qring = make_ring(ring, P, primes=(P, P))
     with pytest.raises(RedundantDecompositionError):
-        construct_ne_test_data(qring)
+        construct_ne_test_data(make_ring(ring, P, primes=(P, P)))
 
 
 def test_ne_test_data_nilpotency_cap():

@@ -14,7 +14,7 @@ from icalc.errors import (
 from icalc.monomials import MonomialOrder
 from icalc.field import PrimeField
 from icalc.groebner import groebner_basis
-from icalc.poly import PolyRing, frobenius_power, parse_poly
+from icalc.poly import Poly, PolyRing, frobenius_power, parse_poly
 
 
 @pytest.fixture
@@ -160,3 +160,95 @@ def test_equal_rings_built_apart_hash_and_compare_equal():
     # the basis cache keys on rings, so an equal ring built apart hits
     basis = groebner_basis(a, (a.parse("X^2 - Y"), a.parse("X*Y")))
     assert groebner_basis(b, (b.parse("X^2 - Y"), b.parse("X*Y"))) is basis
+
+
+# Reference arithmetic that reduces every coefficient mod p as it goes
+# and drops a monomial the moment its coefficient cancels; the
+# polynomial layer instead leaves both to Poly.from_dict.
+
+def _reference(ring, acc):
+    return Poly(ring, tuple((acc[m], m) for m in sorted(acc, key=ring.order.key)))
+
+
+def _accumulate(acc, p, m, c):
+    v = (acc.get(m, 0) + c) % p
+    if v:
+        acc[m] = v
+    else:
+        acc.pop(m, None)
+
+
+def _ref_add(f, g):
+    p = f.ring.field.p
+    acc = {m: c for c, m in f.terms}
+    for c, m in g.terms:
+        _accumulate(acc, p, m, c)
+    return _reference(f.ring, acc)
+
+
+def _ref_neg(f):
+    p = f.ring.field.p
+    return Poly(f.ring, tuple((-c % p, m) for c, m in f.terms))
+
+
+def _ref_mul(f, g):
+    p = f.ring.field.p
+    acc = {}
+    for ca, ma in f.terms:
+        for cb, mb in g.terms:
+            _accumulate(acc, p, tuple(a + b for a, b in zip(ma, mb)), ca * cb)
+    return _reference(f.ring, acc)
+
+
+def _ref_scale(f, k):
+    p = f.ring.field.p
+    k %= p
+    return Poly(f.ring, tuple((c * k % p, m) for c, m in f.terms) if k else ())
+
+
+def _random_text(rng, ring, reference):
+    """Polynomial text; its terms also go into reference, reduced per term."""
+    p = ring.field.p
+    parts = []
+    for t in range(rng.randint(1, 5)):
+        sign = rng.choice((1, -1))
+        factors, coeff, mono = [], 1, [0] * ring.nvars
+        for _ in range(rng.randint(0, 2)):
+            value = rng.choice((1, 2, p - 1, p, p + 1, rng.randrange(10**6)))
+            factors.append(str(value))
+            coeff = coeff * value % p
+        for _ in range(rng.randint(0 if factors else 1, 3)):
+            i = rng.randrange(ring.nvars)
+            e = rng.randint(1, 3)
+            factors.append(f"{ring.variables[i]}^{e}")
+            mono[i] += e
+        rng.shuffle(factors)
+        parts.append(("- " if sign < 0 else "" if not t else "+ ") + "*".join(factors))
+        _accumulate(reference, p, tuple(mono), sign * coeff % p)
+    return " ".join(parts)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_arithmetic_and_parsing_match_per_term_reduction(p):
+    rng = random.Random(p)
+    ring = PolyRing(PrimeField(p), ("X", "Y", "Z"), MonomialOrder.grevlex())
+    cancelled = 0
+    for _ in range(300):
+        reference = {}
+        text = _random_text(rng, ring, reference)
+        f = parse_poly(ring, text)
+        assert f == _reference(ring, reference), text
+        g = parse_poly(ring, _random_text(rng, ring, {}))
+        for h in (g, -f, f * (p - 1), f + g):
+            assert f + h == _ref_add(f, h)
+            assert f - h == _ref_add(f, _ref_neg(h))
+            assert f * h == _ref_mul(f, h)
+            cancelled += (f + h).is_zero or (f - h).is_zero
+        k = rng.choice((0, 1, p - 1, p, -3, rng.randrange(10**9)))
+        assert f * k == k * f == _ref_scale(f, k)
+    # f - f, f + (-f) and f + (p - 1) * f cancel completely every time
+    assert cancelled >= 300
+    x, y = ring.var("X"), ring.var("Y")
+    assert parse_poly(ring, f"X*Y + {p - 1}*Y*X + Z").terms == ((1, (0, 0, 1)),)
+    assert parse_poly(ring, f"{p}*X^2 - X^2 + X^2").is_zero
+    assert (x + y) * (x - y) == x * x - y * y

@@ -1,5 +1,6 @@
-"""Reducer rows kept with the basis, the first-divisor memo and the
-shifted-tail products.
+"""Reducer rows kept with the basis and their one memo: the count of
+rows an irreducible monomial was checked against, or a reduced
+monomial's shifted-tail product.
 
 Inside _buchberger every normal form reads the rows and memos the basis
 has built up so far; a plain reducer list gets fresh ones.  Both must
@@ -14,7 +15,7 @@ from conftest import ii, surface_avatar
 from icalc import groebner
 from icalc.field import PrimeField
 from icalc.groebner import BasisRows, groebner_basis, is_groebner_basis, normal_form, s_polynomial
-from icalc.monomials import MonomialOrder
+from icalc.monomials import MonomialOrder, mono_mul
 from icalc.poly import PolyRing
 from icalc.properties import _random_polys, _random_ring
 from test_pair_queue import CLASSIC, classic_ring
@@ -74,13 +75,11 @@ def test_stale_memo_sees_an_appended_row(ring):
     x2 = ring.parse("X^2 + Y")
     assert normal_form(x2, rows) == ring.parse("X^2 + Z")
     # X^2 was found irreducible against the one row there was
-    assert rows.first[(2, 0, 0)] == 1
-    assert (2, 0, 0) not in rows.products
+    assert rows.memo[(2, 0, 0)] == 1
     rows.append(ring.parse("X - Z"))
     assert normal_form(x2, rows) == ring.parse("Z^2 + Z")
-    assert rows.first[(2, 0, 0)] is rows.rows[1]
     # X^2 = X*(X - Z) + X*Z: the new row's tail, shifted by X
-    assert rows.products[(2, 0, 0)] == (1, ((4, (1, 0, 1)),))
+    assert rows.memo[(2, 0, 0)] == (1, ((4, (1, 0, 1)),))
     assert normal_form(x2, rows) == normal_form(x2, list(rows))
 
 
@@ -91,7 +90,9 @@ def test_earlier_row_wins_when_two_divide(ring):
     assert normal_form(f, first_x[::-1]) == ring.parse("1")
     rows = BasisRows(first_x)
     assert normal_form(f, rows) == ring.parse("Y*Z")
-    assert rows.first[(1, 1, 0)] is rows.rows[0]
+    # the memo holds the first row's inverse lc and its tail shifted by Y
+    _, inv_lc, tail = rows.rows[0]
+    assert rows.memo[(1, 1, 0)] == (inv_lc, tuple((c, mono_mul(m, (0, 1, 0))) for c, m in tail))
 
 
 def test_earlier_row_wins_in_the_stored_product(ring):
@@ -99,10 +100,10 @@ def test_earlier_row_wins_in_the_stored_product(ring):
     rows = BasisRows([ring.parse("X - Z"), ring.parse("X*Y - 1")])
     normal_form(f, rows)
     # the tail -Z of X - Z shifted by Y, not the tail -1 of X*Y - 1
-    assert rows.products[(1, 1, 0)] == (1, ((4, (0, 1, 1)),))
+    assert rows.memo[(1, 1, 0)] == (1, ((4, (0, 1, 1)),))
     rows = BasisRows([ring.parse("X*Y - 1"), ring.parse("X - Z")])
     normal_form(f, rows)
-    assert rows.products[(1, 1, 0)] == (1, ((4, (0, 0, 0)),))
+    assert rows.memo[(1, 1, 0)] == (1, ((4, (0, 0, 0)),))
 
 
 def test_a_second_reduction_reads_the_stored_product(ring):
@@ -112,19 +113,19 @@ def test_a_second_reduction_reads_the_stored_product(ring):
     assert normal_form(f, rows) == normal_form(f, reducers)
     # X^2*Y = 3*X*Y*(2*X - Y) + 3*X*Y^2: the non-monic row's inverse lc
     # and its tail shifted by X*Y
-    product = rows.products[(2, 1, 0)]
+    product = rows.memo[(2, 1, 0)]
     assert product == (3, ((4, (1, 2, 0)),))
     assert normal_form(f, rows) == normal_form(f, reducers)
-    assert rows.products[(2, 1, 0)] is product
+    assert rows.memo[(2, 1, 0)] is product
     # a planted product is what the next reduction of X^2*Y reads
-    rows.products[(2, 1, 0)] = (3, ())
+    rows.memo[(2, 1, 0)] = (3, ())
     assert normal_form(ring.parse("X^2*Y"), rows).is_zero
 
 
 def assert_warm_rows_agree(reducers, targets):
     """Reduce every target twice through one BasisRows, against fresh lists."""
     rows = BasisRows(reducers)
-    for _ in range(2):  # the first pass fills the memos, the second reads them
+    for _ in range(2):  # the first pass fills the memo, the second reads it
         for f in targets:
             assert normal_form(f, rows) == normal_form(f, list(reducers))
     return rows
@@ -136,6 +137,10 @@ def products_and_s_polynomials(polys):
     return out
 
 
+def stored_products(rows):
+    return sum(entry.__class__ is tuple for entry in rows.memo.values())
+
+
 def test_warm_rows_agree_with_fresh_lists_on_seeded_small_ideals():
     stored = 0
     for seed in range(50):
@@ -144,7 +149,7 @@ def test_warm_rows_agree_with_fresh_lists_on_seeded_small_ideals():
         gens = _random_polys(rng, ring)
         targets = products_and_s_polynomials(gens) + list(_random_polys(rng, ring))
         for reducers in (gens, groebner_basis(ring, gens)):
-            stored += len(assert_warm_rows_agree(reducers, targets).products)
+            stored += stored_products(assert_warm_rows_agree(reducers, targets))
     assert stored > 50
 
 
@@ -155,7 +160,7 @@ def test_warm_rows_agree_with_fresh_lists_on_classic_systems(name):
     gens = tuple(ring.parse(t) for t in texts)
     targets = products_and_s_polynomials(gens)
     for reducers in (gens, groebner_basis(ring, gens)):
-        assert assert_warm_rows_agree(reducers, targets).products
+        assert stored_products(assert_warm_rows_agree(reducers, targets))
 
 
 def test_non_monic_reducer_in_a_plain_list(ring):

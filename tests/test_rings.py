@@ -14,7 +14,12 @@ from icalc import (
     make_ring,
 )
 from icalc.closure import construct_ne_test_data
-from icalc.errors import EmptyRingError, NeedsPrimesError
+from icalc.errors import (
+    BadDecompositionError,
+    EmptyRingError,
+    NeedsPrimesError,
+    RedundantDecompositionError,
+)
 from icalc.rings import CM, NOT_CM
 
 
@@ -22,6 +27,28 @@ def test_make_ring_rejects_unit_quotient():
     ring = PolyRing(PrimeField(2), ("X",), MonomialOrder.grevlex())
     with pytest.raises(EmptyRingError):
         make_ring(ring, Ideal(ring, (ring.one(),)))
+
+
+def test_make_ring_rejects_a_component_without_the_defining_ideal():
+    ring = PolyRing(PrimeField(2), ("X", "Y", "Z"), MonomialOrder.grevlex())
+    with pytest.raises(BadDecompositionError, match=r"^defining generator X\*Z escapes the component \(Y\)$"):
+        make_ring(ring, ii(ring, "X*Y", "X*Z"), primes=(ii(ring, "X"), ii(ring, "Y")))
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(("X",), ("X", "Y")), (("X", "Y"), ("X",)), (("X",), ("X",))],
+    ids=["smaller-first", "larger-first", "duplicate"],
+)
+def test_make_ring_rejects_nested_components(first, second):
+    # over (X), a component inside another makes the list redundant;
+    # the error names both components, whichever comes first
+    ring = PolyRing(PrimeField(2), ("X", "Y", "Z"), MonomialOrder.grevlex())
+    inner, outer = sorted((first, second), key=len)
+    with pytest.raises(RedundantDecompositionError) as caught:
+        make_ring(ring, ii(ring, "X"), primes=(ii(ring, *first), ii(ring, *second)))
+    assert isinstance(caught.value, BadDecompositionError)
+    assert str(caught.value) == f"the component {ii(ring, *inner)} lies inside {ii(ring, *outer)}"
 
 
 def test_quotient_dimensions(axes, surface):
