@@ -31,8 +31,8 @@ from .rings import (
     QuotientRing,
     classify,
     cm_probe,
-    is_system_of_parameters,
     make_ring,
+    require_sop,
 )
 
 TIGHT = "tight"
@@ -230,18 +230,13 @@ def theorem_contain_verdict(ring: QuotientRing, ideal: Ideal) -> ClosureReport:
     never tightly closed.  Containment is checked generator by
     generator; the certificate is the citation, not a witness element.
     """
-    ring.require_primes()
-    _validate_subject(ring, ideal)
     split = classify(ring)
+    _validate_subject(ring, ideal)
     if split.equidimensional:
         raise NotApplicableError(
             "the containment criterion needs a non-equidimensional ring"
         )
-    check = is_system_of_parameters(ring, ideal.generators)
-    if not check.is_sop:
-        raise PreconditionError(
-            "the generators are not a system of parameters of the presented ring"
-        )
+    require_sop(ring, ideal.generators)
     pq = split.top + split.low
     outside = pq.first_outside(ideal.generators)
     dc = decomposition_closure(ring, ideal, TIGHT)
@@ -295,9 +290,7 @@ def normalize_sop_generators(ring: PolyRing, gens) -> NormalizedSop:
     gens = tuple(gens)
     if not gens:
         raise PreconditionError("no generators to normalize")
-    for g in gens:
-        if g.ring != ring:
-            raise RingMismatchError("generator outside the stated ring")
+    original = Ideal(ring, gens)
     last = ring.nvars - 1
     best = None
     for idx, g in enumerate(gens):
@@ -338,7 +331,6 @@ def normalize_sop_generators(ring: PolyRing, gens) -> NormalizedSop:
             g = g - lead * (y ** (k - h)) * coeff
         if not g.is_zero:
             rest.append(g)
-    original = Ideal(ring, gens)
     rewritten = Ideal(ring, (lead,) + tuple(rest))
     if not (original.contains_ideal(rewritten) and rewritten.contains_ideal(original)):
         raise NormalizationError("internal: rewriting changed the ideal")
@@ -384,12 +376,7 @@ def structural_verdict(
     presented = make_ring(
         ring, p_ideal.intersect(q_ideal), primes=(p_ideal, q_ideal)
     )
-    sop_gens = tuple(sop_gens)
-    check = is_system_of_parameters(presented, sop_gens)
-    if not check.is_sop:
-        raise PreconditionError(
-            "the supplied generators are not a system of parameters of the split ring"
-        )
+    sop_gens = require_sop(presented, sop_gens)
     subject = Ideal(ring, sop_gens)
     dc = decomposition_closure(presented, subject, TIGHT)
     notes = [
@@ -546,12 +533,7 @@ def colon_capture_report(ring: QuotientRing, sop) -> ColonCaptureReport:
     bound refutes nothing: the bound is a lower bound for the closure,
     so only containment is evidence.
     """
-    sop = tuple(sop)
-    check = is_system_of_parameters(ring, sop)
-    if not check.is_sop:
-        raise PreconditionError(
-            "the elements are not a system of parameters of the presented ring"
-        )
+    sop = require_sop(ring, sop)
     rows = []
     for k in range(len(sop)):
         step_ideal = Ideal(ring.ambient, sop[:k])

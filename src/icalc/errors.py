@@ -31,6 +31,12 @@ class BadArgumentError(IcalcError, ValueError):
     the zero polynomial where a leading term is needed."""
 
 
+class ArgumentTypeError(IcalcError, TypeError):
+    """A library call got an argument of the wrong type: a string or an
+    int where a polynomial or an ideal belongs, or a seed that is not
+    an integer."""
+
+
 class CapacityError(IcalcError):
     """An exponent left the supported machine range."""
 

@@ -16,7 +16,7 @@ stay in single digits) and yields a concrete witness.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _difference_rows(polys):
@@ -118,13 +118,9 @@ def positive_grading(polys, nvars: int):
     if u is None:
         return None
     w = [sum(x * v for x, v in zip(row, u)) for row in basis_rows]
-    denom = 1
-    for x in w:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for x in w))
     ints = [int(x * denom) for x in w]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    g = gcd(*ints)
     return tuple(x // g for x in ints)
 
 

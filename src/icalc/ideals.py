@@ -18,6 +18,7 @@ import itertools
 from functools import reduce
 
 from .errors import (
+    ArgumentTypeError,
     RingMismatchError,
     UnknownVariableError,
     VariableCollisionError,
@@ -58,7 +59,7 @@ class Ideal:
     def __init__(self, ring: PolyRing, gens=()):
         for g in gens:
             if not isinstance(g, Poly):
-                raise TypeError(f"not a polynomial: {g!r}")
+                raise ArgumentTypeError(f"not a polynomial: {g!r}")
             if g.ring != ring:
                 raise RingMismatchError(
                     f"generator {g} lives in {g.ring}, not {ring}"
@@ -99,10 +100,6 @@ class Ideal:
     def is_unit(self) -> bool:
         gb = self.groebner
         return bool(gb) and gb[0].is_constant()
-
-    @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):
@@ -196,7 +193,7 @@ class Ideal:
                 return meet(self.colon(g) for g in divisor.generators).generators
 
         else:
-            raise TypeError(f"cannot colon by {divisor!r}")
+            raise ArgumentTypeError(f"cannot colon by {divisor!r}")
         return Ideal(self.ring, memoized(key, compute))
 
     def eliminate(self, front_names) -> "Ideal":
@@ -246,13 +243,12 @@ class Ideal:
             return -1
         supports = {mono_support(g.terms[0][1]) for g in self.groebner}
         n = self.ring.nvars
-        best = 0
         for size in range(n, 0, -1):
             for combo in itertools.combinations(range(n), size):
                 chosen = frozenset(combo)
                 if all(not s <= chosen for s in supports):
                     return size
-        return best
+        return 0
 
     def is_homogeneous(self) -> bool:
         """Generated by forms; decided on the reduced basis."""

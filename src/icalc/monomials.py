@@ -15,7 +15,6 @@ from operator import add, le, mul, neg, sub
 from .errors import DimensionMismatchError, RingSpecError
 from .records import Record
 
-Monomial = tuple  # exponent tuple; alias for readability in signatures
 
 LEX = "lex"
 GREVLEX = "grevlex"

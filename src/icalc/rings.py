@@ -157,9 +157,6 @@ def is_system_of_parameters(ring: QuotientRing, elements) -> SopCheck:
     both leave the generated ideal alone.
     """
     elements = tuple(elements)
-    for z in elements:
-        if z.ring != ring.ambient:
-            raise RingMismatchError("parameter candidate outside the ambient ring")
     count_ok = len(elements) == ring.dim
     qdim = (ring.defining + Ideal(ring.ambient, elements)).dimension()
     return SopCheck(
@@ -168,6 +165,17 @@ def is_system_of_parameters(ring: QuotientRing, elements) -> SopCheck:
         quotient_dim=qdim,
         is_sop=count_ok and qdim == 0,
     )
+
+
+def require_sop(ring: QuotientRing, elements) -> tuple:
+    """The elements as a tuple; PreconditionError unless they are a
+    system of parameters of the presented ring."""
+    check = is_system_of_parameters(ring, elements)
+    if not check.is_sop:
+        raise PreconditionError(
+            "the elements are not a system of parameters of the presented ring"
+        )
+    return check.elements
 
 
 class RegSeqReport(Record):
@@ -202,7 +210,7 @@ def is_regular_sequence(ring: QuotientRing, elements) -> RegSeqReport:
         colon = base.colon(z)
         steps.append(base.contains_ideal(colon))
         base = base + Ideal(ring.ambient, (z,))
-    proper = base.is_proper
+    proper = not base.is_unit
     failures = [i for i, ok in enumerate(steps) if not ok]
     return RegSeqReport(
         elements=elements,
@@ -260,32 +268,19 @@ def cm_probe(ring: QuotientRing, sop=None, seed: int = 0, budget: int = 64) -> C
     """
     weights = ring.defining.positive_grading()
     if sop is not None:
-        sop = tuple(sop)
-        check = is_system_of_parameters(ring, sop)
-        if not check.is_sop:
-            raise PreconditionError(
-                "the supplied elements are not a system of parameters"
-            )
-        chosen = sop
+        chosen = require_sop(ring, sop)
     elif ring.dim == 0:
-        return CmProbeResult(
-            verdict=CM, sop=(), heuristic=weights is None, report=None
-        )
+        chosen = ()
     else:
-        chosen = None
-        for cand in _linear_candidates(ring.ambient, ring.dim, seed, budget):
-            if is_system_of_parameters(ring, cand).is_sop:
-                chosen = cand
-                break
-        if chosen is None:
-            return CmProbeResult(
-                verdict=NO_SOP_FOUND, sop=(), heuristic=weights is None, report=None
-            )
-    report = is_regular_sequence(ring, chosen)
-    heuristic = weights is None or not all(
-        is_weight_homogeneous(z, weights) for z in chosen
-    )
-    verdict = CM if report.regular else NOT_CM
-    return CmProbeResult(
-        verdict=verdict, sop=chosen, heuristic=heuristic, report=report
-    )
+        candidates = _linear_candidates(ring.ambient, ring.dim, seed, budget)
+        chosen = next((c for c in candidates if is_system_of_parameters(ring, c).is_sop), None)
+    report = None
+    if chosen is None:
+        verdict, chosen = NO_SOP_FOUND, ()
+    elif not chosen:  # dimension zero: CM, with nothing to test
+        verdict = CM
+    else:
+        report = is_regular_sequence(ring, chosen)
+        verdict = CM if report.regular else NOT_CM
+    heuristic = weights is None or not all(is_weight_homogeneous(z, weights) for z in chosen)
+    return CmProbeResult(verdict=verdict, sop=chosen, heuristic=heuristic, report=report)

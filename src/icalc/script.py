@@ -31,6 +31,7 @@ import json
 
 from . import __version__
 from .errors import (
+    ArgumentTypeError,
     IcalcError,
     NeedsPrimesError,
     ParseError,
@@ -590,6 +591,8 @@ class Evaluator:
             raise RingSpecError(f"unknown order {options.order!r}; expected 'lex' or 'grevlex'")
         if not isinstance(options.emax, int) or options.emax < 0:
             raise PreconditionError(f"need 0 <= e_min <= e_max; emax is {options.emax!r}")
+        if not isinstance(options.seed, int):
+            raise ArgumentTypeError(f"the run seed must be an integer; seed is {options.seed!r}")
         self.options = options
         self.ring = None
         self.qring = None
@@ -598,15 +601,10 @@ class Evaluator:
         self.checks = []
         self.entries = []
 
-    def fail(self, stmt, message):
-        raise ScriptError(f"line {stmt.line}: {_stmt_text(stmt)}: {message}")
-
     def run(self, script: Script, scenario: str) -> ReportDocument:
         for stmt in script.statements:
             try:
                 self._execute(stmt)
-            except ScriptError:
-                raise
             except IcalcError as exc:
                 raise ScriptError(
                     f"line {stmt.line}: {_stmt_text(stmt)}: {exc}"
@@ -624,25 +622,20 @@ class Evaluator:
     def _execute(self, stmt):
         if isinstance(stmt, RingDecl):
             self._declare_ring(stmt)
+        elif self.ring is None:
+            raise ScriptError("no ring declared yet")
         elif isinstance(stmt, LetStmt):
-            self._require_ring(stmt)
             self.bindings[stmt.name] = self._eval(stmt.expr)
         elif isinstance(stmt, CheckStmt):
-            self._require_ring(stmt)
             passed, detail = self._run_check(stmt, self._args(stmt.args))
             self.checks.append((_stmt_text(stmt), passed, detail))
         else:
-            self._require_ring(stmt)
             payload = self._run_report(stmt, self._args(stmt.args))
             self.entries.append((_stmt_text(stmt), stmt.kind, payload))
 
-    def _require_ring(self, stmt):
-        if self.ring is None:
-            self.fail(stmt, "no ring declared yet")
-
     def _declare_ring(self, stmt):
         if self.ring is not None:
-            self.fail(stmt, "only one ring declaration per script")
+            raise ScriptError("only one ring declaration per script")
         self.ring = PolyRing(PrimeField(stmt.p), stmt.variables, MonomialOrder(self.options.order))
         self.defining = Ideal(self.ring, ())
         if stmt.defining is not None:

@@ -1,14 +1,24 @@
-"""Bad arguments to library calls end in a BadArgumentError.
+"""Bad arguments to library calls end in a BadArgumentError, and
+wrong-typed ones in an ArgumentTypeError.
 
-It is an IcalcError, so callers and the command line separate it from a
-genuine bug, and a ValueError, so callers that catch ValueError keep
-working.  Each message is the one these calls have always raised.
+Both are IcalcErrors, so callers and the command line separate them from
+a genuine bug.  BadArgumentError is also a ValueError and
+ArgumentTypeError a TypeError, so callers that catch those keep working.
+Each BadArgumentError message is the one these calls have always raised.
 """
 
 import pytest
 
-from icalc import Ideal, MonomialOrder, PolyRing, PrimeField
-from icalc.errors import BadArgumentError, IcalcError
+from icalc import (
+    Ideal,
+    MonomialOrder,
+    PolyRing,
+    PrimeField,
+    is_system_of_parameters,
+    make_ring,
+    normalize_sop_generators,
+)
+from icalc.errors import ArgumentTypeError, BadArgumentError, IcalcError
 from icalc.groebner import exact_divide
 from icalc.poly import frobenius_power
 
@@ -72,3 +82,26 @@ def test_exact_divide_by_zero(ring):
 
 def test_zero_has_no_lead_monomial(ring):
     _raises("zero polynomial has no leading term", lambda: ring.zero().lead_monomial)
+
+
+@pytest.mark.parametrize(
+    "message, call",
+    [
+        ("not a polynomial: 'X'", lambda ring: Ideal(ring, "X")),
+        ("not a polynomial: 1", lambda ring: Ideal(ring, [1])),
+        ("cannot colon by 3", lambda ring: Ideal(ring, (ring.var("X"),)).colon(3)),
+        (
+            "not a polynomial: 'X'",
+            lambda ring: is_system_of_parameters(make_ring(ring, Ideal(ring, ())), ["X"]),
+        ),
+        ("not a polynomial: 'X'", lambda ring: normalize_sop_generators(ring, ["X"])),
+    ],
+    ids=["ideal-of-a-string", "ideal-of-an-int", "colon-by-an-int", "sop-of-a-string",
+         "normalize-a-string"],
+)
+def test_wrong_type_is_an_argument_type_error(ring, message, call):
+    with pytest.raises(ArgumentTypeError) as caught:
+        call(ring)
+    assert str(caught.value) == message
+    assert isinstance(caught.value, IcalcError)
+    assert isinstance(caught.value, TypeError)

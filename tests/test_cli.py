@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from icalc import properties
 from icalc.cli import (
     EXIT_CHECK_FAILED,
     EXIT_EVALUATION,
@@ -228,3 +229,28 @@ def test_run_rejects_a_negative_emax_at_parsing(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert "argument --emax: expected an integer >= 0, found '-1'" in captured.err
     assert captured.out == ""
+
+
+def _fake_suite(name, cases, failures):
+    return lambda: properties.SuiteResult(name, cases, list(failures))
+
+
+def test_check_suite_clean(monkeypatch, capsys):
+    monkeypatch.setattr(properties, "ALL_SUITES", (_fake_suite("clean", 12, ()),))
+    assert main(["check-suite"]) == EXIT_OK
+    assert capsys.readouterr().out == "clean: 12 cases, ok\n"
+
+
+def test_check_suite_prints_the_first_five_failures(monkeypatch, capsys):
+    failures = [f"case {i} broke" for i in range(7)]
+    monkeypatch.setattr(
+        properties,
+        "ALL_SUITES",
+        (_fake_suite("flaky", 20, failures), _fake_suite("clean", 3, ())),
+    )
+    assert main(["check-suite"]) == EXIT_CHECK_FAILED
+    assert capsys.readouterr().out.splitlines() == (
+        ["flaky: 20 cases, 7 FAILED"]
+        + [f"  case {i} broke" for i in range(5)]
+        + ["clean: 3 cases, ok"]
+    )

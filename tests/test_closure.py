@@ -11,6 +11,7 @@ from icalc import (
     PrimeField,
     bounded_frobenius_check,
     closedness_necessary_test,
+    cm_probe,
     colon_capture_report,
     construct_ne_test_data,
     decomposition_closure,
@@ -163,6 +164,22 @@ def test_contain_verdict_requires_sop(plane_line):
     ring, qring = plane_line
     with pytest.raises(PreconditionError):
         theorem_contain_verdict(qring, ii(ring, "Y1"))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda axes: cm_probe(axes.qring, sop=(axes.ring.parse("Y"),)),
+        lambda axes: theorem_contain_verdict(axes.qring, ii(axes.ring, "Y")),
+        lambda axes: structural_verdict(axes.ring, ii(axes.ring, "Z"), (axes.ring.parse("Y"),)),
+        lambda axes: colon_capture_report(axes.qring, (axes.ring.parse("Y"),)),
+    ],
+    ids=["cm_probe", "contain", "structural", "capture"],
+)
+def test_one_sop_message_for_every_caller(axes, call):
+    with pytest.raises(PreconditionError) as err:
+        call(axes)
+    assert str(err.value) == "the elements are not a system of parameters of the presented ring"
 
 
 def test_contain_verdict_rejects_equidimensional():

@@ -12,6 +12,7 @@ from icalc import (
     is_regular_sequence,
     is_system_of_parameters,
     make_ring,
+    normalize_sop_generators,
 )
 from icalc.closure import construct_ne_test_data
 from icalc.errors import (
@@ -19,8 +20,9 @@ from icalc.errors import (
     EmptyRingError,
     NeedsPrimesError,
     RedundantDecompositionError,
+    RingMismatchError,
 )
-from icalc.rings import CM, NOT_CM
+from icalc.rings import CM, NO_SOP_FOUND, NOT_CM
 
 
 def test_make_ring_rejects_unit_quotient():
@@ -108,6 +110,14 @@ def test_system_of_parameters(axes):
     assert bad.quotient_dim == 1  # the X-axis survives
 
 
+def test_foreign_parameters_are_a_ring_mismatch(axes):
+    other = PolyRing(PrimeField(3), axes.ring.variables, axes.ring.order)
+    with pytest.raises(RingMismatchError):
+        is_system_of_parameters(axes.qring, (axes.ring.parse("Y"), other.parse("Z")))
+    with pytest.raises(RingMismatchError):
+        normalize_sop_generators(axes.ring, (axes.ring.parse("Y"), other.parse("Z")))
+
+
 def test_surface_parameters(surface):
     check = is_system_of_parameters(
         surface.qring, (surface.ring.parse("Z"), surface.ring.parse("X - T"))
@@ -164,8 +174,20 @@ def test_cm_probe_polynomial_ring():
 
 def test_cm_probe_dimension_zero():
     ring = PolyRing(PrimeField(2), ("X", "Y"), MonomialOrder.grevlex())
-    probe = cm_probe(make_ring(ring, ii(ring, "X", "Y^2")))
-    assert probe.verdict == CM
+    qring = make_ring(ring, ii(ring, "X", "Y^2"))
+    probe = cm_probe(qring)
+    assert (probe.verdict, probe.sop, probe.report) == (CM, (), None)
+    # the empty sequence is the system of parameters; nothing to test
+    assert cm_probe(qring, sop=()) == probe
+
+
+def test_cm_probe_without_budget_finds_no_sop():
+    # neither variable alone cuts the two axes of XY = 0 down to a point
+    ring = PolyRing(PrimeField(2), ("X", "Y"), MonomialOrder.grevlex())
+    probe = cm_probe(make_ring(ring, ii(ring, "X*Y")), budget=0)
+    assert (probe.verdict, probe.sop, probe.report) == (NO_SOP_FOUND, (), None)
+    assert not probe.heuristic
+    assert probe.failing_step == -1
 
 
 def test_cm_probe_accepts_explicit_sop(axes):

@@ -8,7 +8,13 @@ from icalc import (
     print_script,
     run_script,
 )
-from icalc.errors import IcalcError, PreconditionError, RingSpecError, ScriptError
+from icalc.errors import (
+    ArgumentTypeError,
+    IcalcError,
+    PreconditionError,
+    RingSpecError,
+    ScriptError,
+)
 from icalc.scenarios import SCENARIOS, run_scenario, scenario_script
 from icalc.script import (
     CheckStmt,
@@ -338,6 +344,15 @@ def test_bad_emax_fails_before_any_statement(executed, emax):
     with pytest.raises(PreconditionError) as err:
         run_script(script, RunOptions(emax=emax))
     assert str(err.value) == f"need 0 <= e_min <= e_max; emax is {emax!r}"
+    assert executed == []
+
+
+@pytest.mark.parametrize("seed", ["a", 1.5, None])
+def test_non_integer_seed_fails_before_any_statement(executed, seed):
+    with pytest.raises(ArgumentTypeError) as err:
+        run_script(parse_script("ring R = poly(p=2; X)\n"), RunOptions(seed=seed))
+    assert str(err.value) == f"the run seed must be an integer; seed is {seed!r}"
+    assert isinstance(err.value, TypeError)
     assert executed == []
 
 
