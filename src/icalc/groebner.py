@@ -11,10 +11,13 @@ Determinism contract, relied on by every golden test downstream:
   cancel and are never formed;
 * normal forms try divisors in the stored order of the reducer list,
   on the largest remaining term first: a plain heapq of (key(m), m),
-  since the order key sorts the leading monomial first;
-* during Buchberger and ``is_groebner_basis`` normal forms read the
-  rows (lead, inverse lead coefficient, tail) the basis keeps as it
-  grows, and one memo keyed by monomial; rows are only appended, so the
+  since the order key sorts the leading monomial first; the remainder's
+  terms come out in heap-pop order, which is already the descending
+  term order a Poly stores, so it is never sorted again;
+* during Buchberger and ``is_groebner_basis``, and in an ideal's
+  membership tests, normal forms read the rows (lead, inverse lead
+  coefficient, tail) the basis keeps as it grows, and one memo keyed
+  by monomial; rows are only appended, so the
   divisor order is the same as a fresh scan of the list;
 * the memo holds, for a monomial m already reduced, the tail of m's
   first dividing row shifted by m - lm, built on m's first reduction
@@ -116,7 +119,9 @@ def normal_form(f: Poly, reducers) -> Poly:
     work = {m: c for c, m in f.terms}
     heap = [(key(m), m) for m in work]
     heapify(heap)
-    remainder = {}
+    # Terms leave the heap largest first, each once, with a nonzero
+    # coefficient mod p: the remainder is built in Poly's term order.
+    remainder = []
     while heap:
         m = heappop(heap)[1]
         c = work.pop(m, 0)
@@ -131,7 +136,7 @@ def normal_form(f: Poly, reducers) -> Poly:
                     break
             else:
                 memo[m] = n
-                remainder[m] = c
+                remainder.append((c, m))
                 continue
             lm, inv_lc, tail = row
             shift = tuple(map(sub, m, lm))
@@ -151,7 +156,7 @@ def normal_form(f: Poly, reducers) -> Poly:
                 work[mm] = v
             else:
                 del work[mm]
-    return Poly.from_dict(ring, remainder)
+    return Poly(ring, tuple(remainder))
 
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:

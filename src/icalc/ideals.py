@@ -2,12 +2,16 @@
 
 An Ideal keeps its original nonzero generators, and a sum lists each
 generator once; the reduced basis is computed on demand and memoized,
-and all equality checks go through it.
+and all equality checks go through it.  Membership reduces against one
+``BasisRows`` per ideal, built from that basis on the first test and
+kept with its reduction memo for every later one.
 Intersections, colons, kernels and radical membership are implemented by
 the classical auxiliary-variable eliminations, which stay inside the
 engine's determinism contract.  Intersections and presentation kernels
-share one elimination step, ``groebner.eliminate_front``; every meet of
-several ideals, colons by an ideal included, is the left fold ``meet``.
+share one elimination step, ``groebner.eliminate_front``; a generator
+both operands of an intersection list enters it once, untagged.  Every
+meet of several ideals, colons by an ideal included, is the left fold
+``meet``.  Radical membership answers a member without an elimination.
 Intersections, colons and radical membership keep their results in the
 one basis cache, through ``groebner.memoized``.
 """
@@ -26,6 +30,7 @@ from .errors import (
 )
 from .grading import positive_grading
 from .groebner import (
+    BasisRows,
     eliminate_front,
     eliminate_polys,
     exact_divide,
@@ -54,7 +59,7 @@ def meet(ideals) -> "Ideal":
 class Ideal:
     """A finitely generated ideal of a named polynomial ring."""
 
-    __slots__ = ("ring", "generators", "_gb")
+    __slots__ = ("ring", "generators", "_gb", "_rows")
 
     def __init__(self, ring: PolyRing, gens=()):
         for g in gens:
@@ -67,6 +72,7 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(g for g in gens if not g.is_zero)
         self._gb = None
+        self._rows = None
 
     @property
     def groebner(self) -> tuple:
@@ -76,10 +82,17 @@ class Ideal:
 
     # -- membership and comparisons ----------------------------------------
 
-    def contains(self, f: Poly) -> bool:
+    def _check_member(self, f):
+        if not isinstance(f, Poly):
+            raise ArgumentTypeError(f"not a polynomial: {f!r}")
         if f.ring != self.ring:
             raise RingMismatchError(f"{f} is not in {self.ring}")
-        return normal_form(f, self.groebner).is_zero
+
+    def contains(self, f: Poly) -> bool:
+        self._check_member(f)
+        if self._rows is None:
+            self._rows = BasisRows(self.groebner)
+        return normal_form(f, self._rows).is_zero
 
     def __contains__(self, f: Poly) -> bool:
         return self.contains(f)
@@ -110,27 +123,28 @@ class Ideal:
         return hash((self.ring, self.groebner))
 
     def _check_ring(self, other: "Ideal"):
+        if not isinstance(other, Ideal):
+            raise ArgumentTypeError(f"not an ideal: {other!r}")
         if self.ring != other.ring:
             raise RingMismatchError("ideals live in different rings")
+
+    def _operand(self, other) -> "Ideal":
+        """other as an ideal of this ring; a polynomial is its principal ideal."""
+        if isinstance(other, Poly):
+            return Ideal(self.ring, (other,))
+        self._check_ring(other)
+        return other
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Poly):
-            other = Ideal(self.ring, (other,))
-        if not isinstance(other, Ideal):
-            return NotImplemented
-        self._check_ring(other)
+        other = self._operand(other)
         # Each generator once: a sum with J whose other side already
         # lists some of J's generators hands the engine no copies.
         return Ideal(self.ring, tuple(dict.fromkeys(self.generators + other.generators)))
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            other = Ideal(self.ring, (other,))
-        if not isinstance(other, Ideal):
-            return NotImplemented
-        self._check_ring(other)
+        other = self._operand(other)
         return Ideal(
             self.ring,
             tuple(a * b for a in self.generators for b in other.generators),
@@ -142,6 +156,9 @@ class Ideal:
         t*g for g in self and (1 - t)*g for g in other are built directly
         in the ring (t, variables...) under block_elimination(1); the
         basis members free of t generate the meet and are carried back.
+        A generator g listed by both enters once, as g itself, in self's
+        order: t*g + (1 - t)*g = g, so the auxiliary ideal, its reduced
+        basis and the meet are those of the fully tagged construction.
         Memoized on both generator tuples.
         """
         self._check_ring(other)
@@ -152,11 +169,14 @@ class Ideal:
         def compute():
             order = MonomialOrder.block_elimination(1)
             aux = PolyRing(ring.field, (_aux_name(ring),) + ring.variables, order)
-            t, one_minus_t = ((1, 1),), ((0, 1), (1, -1))  # (t exponent, sign)
+            # (t exponent, sign) pairs of the factor each generator is tagged by
+            t, one_minus_t, untagged = ((1, 1),), ((0, 1), (1, -1)), ((0, 1),)
+            shared = set(self.generators).intersection(other.generators)
+            tagged = [(untagged if g in shared else t, g) for g in self.generators]
+            tagged += [(one_minus_t, g) for g in other.generators if g not in shared]
             mixed = [
                 Poly.from_dict(aux, {(e,) + m: s * c for c, m in g.terms for e, s in factor})
-                for factor, gens in ((t, self.generators), (one_minus_t, other.generators))
-                for g in gens
+                for factor, g in tagged
             ]
             return eliminate_front(aux, mixed, ring, [None, *range(ring.nvars)])
 
@@ -215,14 +235,16 @@ class Ideal:
     def radical_contains(self, f: Poly) -> bool:
         """Some power of f lands in the ideal (one extra variable trick).
 
+        A member needs no extra variable: its first power lands.
         Memoized on the generators and f.
         """
-        if f.ring != self.ring:
-            raise RingMismatchError(f"{f} is not in {self.ring}")
+        self._check_member(f)
         if f.is_zero:
             return True
 
         def compute():
+            if self.contains(f):
+                return True
             name = _aux_name(self.ring)
             ext = PolyRing(self.ring.field, self.ring.variables + (name,), self.ring.order)
             t = ext.var(name)

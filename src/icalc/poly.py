@@ -233,7 +233,10 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero or self.terms[0][0] == 1:
             return self
-        return self * self.ring.field.inv(self.terms[0][0])
+        field = self.ring.field
+        inv, p = field.inv(self.terms[0][0]), field.p
+        # A nonzero scalar keeps every term nonzero and the order as it is.
+        return Poly(self.ring, tuple((c * inv % p, m) for c, m in self.terms))
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:

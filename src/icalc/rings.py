@@ -198,18 +198,13 @@ def is_regular_sequence(ring: QuotientRing, elements) -> RegSeqReport:
     elements = tuple(elements)
     if not elements:
         raise PreconditionError("a regular sequence needs at least one element")
-    for z in elements:
-        if z.ring != ring.ambient:
-            raise RingMismatchError("sequence element outside the ambient ring")
     steps = []
     base = ring.defining
     for z in elements:
-        if z.is_zero:
-            steps.append(False)
-            continue
-        colon = base.colon(z)
-        steps.append(base.contains_ideal(colon))
-        base = base + Ideal(ring.ambient, (z,))
+        # The constructor rejects an element outside the ambient ring.
+        grown = base + Ideal(ring.ambient, (z,))
+        steps.append(not z.is_zero and base.contains_ideal(base.colon(z)))
+        base = grown
     proper = not base.is_unit
     failures = [i for i, ok in enumerate(steps) if not ok]
     return RegSeqReport(

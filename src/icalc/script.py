@@ -589,9 +589,10 @@ class Evaluator:
         # declare a ring or report frobenius to be run with the options.
         if options.order not in (LEX, GREVLEX):
             raise RingSpecError(f"unknown order {options.order!r}; expected 'lex' or 'grevlex'")
-        if not isinstance(options.emax, int) or options.emax < 0:
+        # type(), not isinstance: a bool is an int subclass, but no count or seed.
+        if type(options.emax) is not int or options.emax < 0:
             raise PreconditionError(f"need 0 <= e_min <= e_max; emax is {options.emax!r}")
-        if not isinstance(options.seed, int):
+        if type(options.seed) is not int:
             raise ArgumentTypeError(f"the run seed must be an integer; seed is {options.seed!r}")
         self.options = options
         self.ring = None

@@ -14,11 +14,12 @@ from icalc import (
     MonomialOrder,
     PolyRing,
     PrimeField,
+    is_regular_sequence,
     is_system_of_parameters,
     make_ring,
     normalize_sop_generators,
 )
-from icalc.errors import ArgumentTypeError, BadArgumentError, IcalcError
+from icalc.errors import ArgumentTypeError, BadArgumentError, IcalcError, RingMismatchError
 from icalc.groebner import exact_divide
 from icalc.poly import frobenius_power
 
@@ -95,9 +96,21 @@ def test_zero_has_no_lead_monomial(ring):
             lambda ring: is_system_of_parameters(make_ring(ring, Ideal(ring, ())), ["X"]),
         ),
         ("not a polynomial: 'X'", lambda ring: normalize_sop_generators(ring, ["X"])),
+        ("not a polynomial: 3", lambda ring: Ideal(ring, (ring.var("X"),)).contains(3)),
+        ("not a polynomial: 'X'", lambda ring: Ideal(ring, ()).radical_contains("X")),
+        ("not an ideal: 3", lambda ring: Ideal(ring, (ring.var("X"),)) + 3),
+        ("not an ideal: 'Y'", lambda ring: Ideal(ring, (ring.var("X"),)) * "Y"),
+        ("not an ideal: 3", lambda ring: Ideal(ring, (ring.var("X"),)).intersect(3)),
+        ("not an ideal: None", lambda ring: Ideal(ring, (ring.var("X"),)).contains_ideal(None)),
+        (
+            "not a polynomial: 'X'",
+            lambda ring: is_regular_sequence(make_ring(ring, Ideal(ring, ())), ["X"]),
+        ),
     ],
     ids=["ideal-of-a-string", "ideal-of-an-int", "colon-by-an-int", "sop-of-a-string",
-         "normalize-a-string"],
+         "normalize-a-string", "contains-an-int", "radical-of-a-string", "ideal-plus-an-int",
+         "ideal-times-a-string", "intersect-an-int", "contains-ideal-of-none",
+         "regular-sequence-of-a-string"],
 )
 def test_wrong_type_is_an_argument_type_error(ring, message, call):
     with pytest.raises(ArgumentTypeError) as caught:
@@ -105,3 +118,9 @@ def test_wrong_type_is_an_argument_type_error(ring, message, call):
     assert str(caught.value) == message
     assert isinstance(caught.value, IcalcError)
     assert isinstance(caught.value, TypeError)
+
+
+def test_regular_sequence_element_from_another_ring_is_a_ring_mismatch(ring):
+    other = PolyRing(PrimeField(5), ("X", "Y"), MonomialOrder.grevlex())
+    with pytest.raises(RingMismatchError):
+        is_regular_sequence(make_ring(ring, Ideal(ring, ())), [ring.var("X"), other.var("Y")])

@@ -337,7 +337,7 @@ def test_unknown_run_order_fails_before_any_statement(executed, order, source):
     assert executed == []
 
 
-@pytest.mark.parametrize("emax", [-1, 2.0, "2", None])
+@pytest.mark.parametrize("emax", [-1, 2.0, "2", None, True, False])
 def test_bad_emax_fails_before_any_statement(executed, emax):
     # no frobenius report: the run options are checked all the same
     script = parse_script(RING_LINE + "\nlet I = ideal(Y)")
@@ -347,7 +347,7 @@ def test_bad_emax_fails_before_any_statement(executed, emax):
     assert executed == []
 
 
-@pytest.mark.parametrize("seed", ["a", 1.5, None])
+@pytest.mark.parametrize("seed", ["a", 1.5, None, True, False])
 def test_non_integer_seed_fails_before_any_statement(executed, seed):
     with pytest.raises(ArgumentTypeError) as err:
         run_script(parse_script("ring R = poly(p=2; X)\n"), RunOptions(seed=seed))
