@@ -49,7 +49,7 @@ from heapq import heapify, heappop, heappush
 from itertools import islice
 from operator import add, le, mul, sub
 
-from .errors import BadArgumentError, RingMismatchError
+from .errors import ArgumentTypeError, BadArgumentError, RingMismatchError
 from .monomials import MonomialOrder, mono_divides, mono_mul, mono_sub
 from .poly import Poly, PolyRing, transport
 
@@ -333,6 +333,8 @@ def eliminate_polys(ring: PolyRing, gens, front_names) -> tuple:
     Permutes the named variables into the dominant block of a block
     order and takes the one elimination step back into the original ring.
     """
+    if isinstance(front_names, str) or not hasattr(front_names, "__iter__"):
+        raise ArgumentTypeError(f"not a sequence of variable names: {front_names!r}")
     front_idx = [ring.var_index(name) for name in front_names]
     if len(set(front_idx)) != len(front_idx):
         raise BadArgumentError("repeated variable in elimination request")

@@ -143,12 +143,16 @@ class Ideal:
         # lists some of J's generators hands the engine no copies.
         return Ideal(self.ring, tuple(dict.fromkeys(self.generators + other.generators)))
 
+    __radd__ = __add__
+
     def __mul__(self, other):
         other = self._operand(other)
         return Ideal(
             self.ring,
             tuple(a * b for a in self.generators for b in other.generators),
         )
+
+    __rmul__ = __mul__
 
     def intersect(self, other: "Ideal") -> "Ideal":
         """Intersection via the t / (1 - t) trick in one extra variable.

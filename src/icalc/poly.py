@@ -5,14 +5,16 @@ pairs sorted descending under the ring's order, so the leading term is
 ``terms[0]`` and structural equality is term-by-term.  The zero
 polynomial is the empty tuple.
 
-Text syntax, used everywhere a polynomial is written down:
+Polynomials are written as in ``2*X^3*Y - Z + 1``.  read_poly holds
+the one grammar of that text, for parse_poly and for every polynomial
+slot of a script alike:
 
-    2*X^3*Y - Z + 1
+    poly := ['-'] term (('+' | '-') term)*    term := factor ('*' factor)*
+    factor := int | name ['^' int]
 
-Variable names are case-sensitive, powers use ``^``, products need an
-explicit ``*``.  Canonical printing lists terms in descending order with
-coefficients normalized to [1, p), so over F_2 the difference X - T
-prints as ``X + T``.
+Variable names are case-sensitive.  Canonical printing lists terms in
+descending order with coefficients normalized to [1, p), so over F_2
+the difference X - T prints as ``X + T``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import re
 
 from .errors import (
+    ArgumentTypeError,
     BadArgumentError,
     CapacityError,
     ParseError,
@@ -113,6 +116,12 @@ class PolyRing(Record):
         exponents = tuple(exponents)
         if len(exponents) != self.nvars:
             raise BadArgumentError("exponent tuple has the wrong length")
+        for e in exponents:
+            if type(e) is not int:  # a bool is an int subclass, but no exponent
+                raise ArgumentTypeError(f"exponents must be integers, not {exponents!r}")
+            if not 0 <= e < MAX_EXPONENT:
+                error = BadArgumentError if e < 0 else CapacityError
+                raise error(f"exponent {e} outside [0, 2^31) in {exponents!r}")
         c = self.field.normalize(coeff)
         if c == 0:
             return self.zero()
@@ -241,6 +250,8 @@ class Poly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise BadArgumentError("exponent must be a non-negative integer")
+        if _power_overflows(self, k):
+            raise CapacityError(f"exponent beyond 2^31 in ({self})^{k}")
         result = self.ring.one()
         base = self
         while k:
@@ -280,22 +291,20 @@ def frobenius_power(f: Poly, e: int) -> Poly:
         raise BadArgumentError("Frobenius exponent must be a non-negative integer")
     if e == 0 or f.is_constant():
         return f
-    # p >= 2, so e >= 31 gives q >= 2^31 for every non-constant f; the
-    # check comes before q, whose digits grow with e.
-    if e >= 31:
+    # p >= 2, so e >= 31 gives q >= 2^31, too much for any non-constant
+    # f; 2^31 then stands in for q, whose digits grow with e.
+    q = f.ring.field.p ** e if e < 31 else MAX_EXPONENT
+    if _power_overflows(f, q):
         raise CapacityError(f"exponent beyond 2^31 in Frobenius power p^{e} of {f}")
-    q = f.ring.field.p ** e
-    terms = []
-    for c, m in f.terms:
-        scaled = tuple(x * q for x in m)
-        if any(x >= MAX_EXPONENT for x in scaled):
-            raise CapacityError(
-                f"exponent beyond 2^31 in Frobenius power p^{e} of {f}"
-            )
-        terms.append((c, scaled))
     # Scaling by a positive constant preserves the relative order in all
     # supported orders, so the stored sort survives untouched.
-    return Poly(f.ring, tuple(terms))
+    return Poly(f.ring, tuple((c, tuple(x * q for x in m)) for c, m in f.terms))
+
+
+def _power_overflows(f: Poly, k: int) -> bool:
+    """Whether f^k has an exponent at or beyond 2^31, told before any
+    product: deg_x(f^k) = k * deg_x(f), since F_p[x_1..x_n] is a domain."""
+    return bool(f.terms) and k * max(max(m) for _, m in f.terms) >= MAX_EXPONENT
 
 
 def transport(f: Poly, ring2: PolyRing, positions=None) -> Poly:
@@ -325,87 +334,75 @@ def transport(f: Poly, ring2: PolyRing, positions=None) -> Poly:
 
 # -- text format -----------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|(->|[-+*^()\[\],;=/]))")
+_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9_]*)|(->|[-+*^()\[\],;=/])|(\S)")
+_SIGNS = {("op", "+"): 1, ("op", "-"): -1}
 
 
 def tokenize(text: str):
-    """Shared tokenizer: yields (kind, value) with kind int/name/op."""
+    """Shared tokenizer: (kind, value) pairs with kind int/name/op."""
     out = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ParseError(f"bad character {rest[0]!r} in {text!r}")
-        if m.group(1) is not None:
-            out.append(("int", int(m.group(1))))
-        elif m.group(2) is not None:
-            out.append(("name", m.group(2)))
-        else:
-            out.append(("op", m.group(3)))
-        pos = m.end()
+    for number, name, op, bad in _TOKEN_RE.findall(text):
+        if bad:
+            raise ParseError(f"bad character {bad!r} in {text!r}")
+        out.append(("int", int(number)) if number else ("name", name) if name else ("op", op))
     return out
 
 
-def _parse_term(ring, toks, i):
-    coeff = 1
-    mono = [0] * ring.nvars
-    saw_factor = False
+def read_poly(toks, i: int = 0):
+    """The polynomial at toks[i], read without a ring: its terms as
+    (signed coefficient, ((name, exponent), ...)) pairs and the index
+    after it.  Every '*' needs a factor after it."""
+    n, terms, sign = len(toks), [], 1
+    if i < n and toks[i] == ("op", "-"):
+        sign, i = -1, i + 1
     while True:
-        if i >= len(toks):
-            if saw_factor:
+        coeff, factors = sign, []
+        while True:
+            if i == n:
+                raise ParseError("unexpected end of polynomial")
+            kind, value = toks[i]
+            i += 1
+            if kind == "int":
+                coeff *= value
+            elif kind == "name":
+                exp = 1
+                if i < n and toks[i] == ("op", "^"):
+                    if i + 1 == n:
+                        raise ParseError("dangling '^' in polynomial")
+                    if toks[i + 1][0] != "int":
+                        raise ParseError("exponent must be an integer literal")
+                    exp = toks[i + 1][1]
+                    i += 2
+                factors.append((value, exp))
+            else:
+                raise ParseError(f"unexpected token {value!r} in polynomial")
+            if i == n or toks[i] != ("op", "*"):
                 break
-            raise ParseError("unexpected end of polynomial")
-        kind, value = toks[i]
-        if kind == "int":
-            coeff *= value
             i += 1
-        elif kind == "name":
-            j = ring.var_index(value)
-            exp = 1
-            i += 1
-            if i + 1 < len(toks) and toks[i] == ("op", "^"):
-                if toks[i + 1][0] != "int":
-                    raise ParseError("exponent must be an integer literal")
-                exp = toks[i + 1][1]
-                i += 2
-            elif i < len(toks) and toks[i] == ("op", "^"):
-                raise ParseError("dangling '^' in polynomial")
-            if mono[j] + exp >= MAX_EXPONENT:
-                raise CapacityError(f"exponent beyond 2^31 on {value}")
-            mono[j] += exp
-        else:
-            if saw_factor:
-                break
-            raise ParseError(f"unexpected token {value!r} in polynomial")
-        saw_factor = True
-        if i < len(toks) and toks[i] == ("op", "*"):
-            i += 1
-            continue
-        break
-    return coeff, mono, i
+        terms.append((coeff, tuple(factors)))
+        sign = _SIGNS.get(toks[i]) if i < n else None
+        if sign is None:
+            return terms, i
+        i += 1
 
 
 def parse_poly(ring: PolyRing, text: str) -> Poly:
     toks = tokenize(text)
     if not toks:
         raise ParseError("empty polynomial text")
-    acc = {}
-    sign, i = (-1, 1) if toks[0] == ("op", "-") else (1, 0)
-    while True:
-        coeff, mono, i = _parse_term(ring, toks, i)
-        m = tuple(mono)
-        acc[m] = acc.get(m, 0) + sign * coeff
-        if i < len(toks) and toks[i][0] == "op" and toks[i][1] in "+-":
-            sign = 1 if toks[i][1] == "+" else -1
-            i += 1
-        else:
-            break
+    terms, i = read_poly(toks)
     if i != len(toks):
         raise ParseError(f"trailing tokens after polynomial in {text!r}")
+    acc = {}
+    for coeff, factors in terms:
+        mono = [0] * ring.nvars
+        for name, exp in factors:
+            j = ring.var_index(name)
+            if mono[j] + exp >= MAX_EXPONENT:
+                raise CapacityError(f"exponent beyond 2^31 on {name}")
+            mono[j] += exp
+        m = tuple(mono)
+        acc[m] = acc.get(m, 0) + coeff
     return Poly.from_dict(ring, acc)
 
 

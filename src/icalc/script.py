@@ -43,7 +43,7 @@ from .field import PrimeField
 from .groebner import normal_form
 from .ideals import Ideal, ring_map_kernel
 from .monomials import GREVLEX, LEX, MonomialOrder
-from .poly import PolyRing, parse_poly, tokenize
+from .poly import PolyRing, parse_poly, read_poly, tokenize
 from .records import Record
 from .rings import is_regular_sequence, is_system_of_parameters, make_ring
 from .closure import (
@@ -137,14 +137,6 @@ class Script(Record):
 
 # ---------------------------------------------------------------- parsing
 
-def _scan(text: str, line_no: int):
-    """Tokenize one line, keeping (kind, value) pairs poly-compatible."""
-    try:
-        return tokenize(text)
-    except ParseError as exc:
-        raise ScriptError(f"line {line_no}: {exc}") from exc
-
-
 def _too_deep(line):
     return ScriptError(
         f"line {line}: expression nested deeper than {MAX_NESTING} levels"
@@ -214,20 +206,19 @@ class _LineParser:
     def at_end(self):
         return self.pos >= len(self.toks)
 
-    # polynomial spans run to the next ',' or ')' since the poly
-    # grammar itself has no parentheses
     def poly_text(self, what="a polynomial"):
+        """The canonical text of the polynomial at the cursor, read by the
+        polynomial grammar; its names are resolved at evaluation."""
         start = self.pos
-        while self.pos < len(self.toks):
-            kind, value = self.toks[self.pos]
-            if kind == "op" and value in ",)":
-                break
-            # adjacent factors would print glued into another name
-            if kind != "op" and self.pos > start and self.toks[self.pos - 1][0] != "op":
-                self.error("'*' between factors")
-            self.pos += 1
-        if self.pos == start:
+        if self.peek()[0] not in ("int", "name") and self.peek() != ("op", "-"):
             self.error(what)
+        try:
+            self.pos = read_poly(self.toks, start)[1]
+        except ParseError as exc:
+            self.fail(exc)
+        # adjacent factors would print glued into another name
+        if self.peek()[0] in ("int", "name"):
+            self.error("'*' between factors")
         return _toks_text(self.toks[start:self.pos])
 
     def call_args(self, slots):
@@ -332,7 +323,10 @@ def parse_script(source: str) -> Script:
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        toks = _scan(line, line_no)
+        try:
+            toks = tokenize(line)
+        except ParseError as exc:
+            raise ScriptError(f"line {line_no}: {exc}") from exc
         lp = _LineParser(toks, line_no, ring_names)
         head = lp.expect("name", what="'ring', 'let', 'check' or 'report'")
         if head == "ring":

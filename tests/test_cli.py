@@ -147,6 +147,31 @@ def test_run_rejects_a_missing_star_instead_of_gluing_names(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("let I = ideal(X^)", "token 6: exponent must be an integer literal"),
+        ("let I = ideal(X*)", "token 6: unexpected token ')' in polynomial"),
+        ("let I = ideal(X*-Y)", "token 6: unexpected token '-' in polynomial"),
+        ("let I = ideal(+X)", "token 6: expected a polynomial, found '+'"),
+        ("let K = ker(U; X -> U^2 ; Y -> U)", "token 13: expected ')', found ';'"),
+    ],
+    ids=["dangling-caret", "dangling-star", "star-minus", "leading-plus", "semicolon-after-image"],
+)
+def test_run_rejects_a_malformed_polynomial_as_a_parse_error(tmp_path, capsys, line, message):
+    # the script parser reads each polynomial by the grammar of parse_poly
+    assert main(["run", write(tmp_path, "ring R = poly(p=3; X, Y)\n" + line)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"icalc: line 2, {message}\n"
+    assert captured.out == ""
+
+
+def test_run_resolves_polynomial_names_at_evaluation(tmp_path, capsys):
+    text = "ring R = poly(p=3; X, Y)\nlet I = ideal(X, W)\n"
+    assert main(["run", write(tmp_path, text)]) == EXIT_EVALUATION
+    assert "'W' is not a variable of F_3[X,Y]" in capsys.readouterr().err
+
+
 def test_run_json_to_stdout(tmp_path, capsys):
     assert main(["run", write(tmp_path, GOOD_SCRIPT), "--json"]) == EXIT_OK
     data = json.loads(capsys.readouterr().out)

@@ -190,6 +190,15 @@ def test_cm_probe_without_budget_finds_no_sop():
     assert probe.failing_step == -1
 
 
+@pytest.mark.parametrize("seed, form", [(0, "X + Y"), (2, "2*X + Y")])
+def test_cm_probe_falls_back_to_seeded_linear_forms(seed, form):
+    # no variable is a parameter of XY = 0, so the seeded draw picks one
+    ring = PolyRing(PrimeField(3), ("X", "Y"), MonomialOrder.grevlex())
+    probe = cm_probe(make_ring(ring, ii(ring, "X*Y")), seed=seed)
+    assert probe.sop == (ring.parse(form),)
+    assert (probe.verdict, probe.heuristic) == (CM, False)
+
+
 def test_cm_probe_accepts_explicit_sop(axes):
     probe = cm_probe(axes.qring, sop=(axes.ring.parse("Y"), axes.ring.parse("X - Z")))
     assert probe.verdict == NOT_CM

@@ -279,6 +279,20 @@ def test_failed_equal_prints_both_bases():
     assert "Y" in detail and "Z" in detail
 
 
+@pytest.mark.parametrize(
+    "value, detail",
+    [
+        ("ideal(X)", "first zerodivisor at step 0"),
+        ("ideal(1)", "the sequence generates the unit ideal"),
+    ],
+    ids=["zerodivisor", "unit"],
+)
+def test_failed_regular_names_the_failure(value, detail):
+    src = f"ring R = poly(p=2; X, Y) / ideal(X*Y)\ncheck regular({value})"
+    (_, passed, found), = run_script(parse_script(src)).checks
+    assert (passed, found) == (False, detail)
+
+
 def test_failed_member_shows_the_normal_form():
     src = RING_LINE + "\ncheck member(Y + Z, ideal(X))"
     doc = run_script(parse_script(src))
